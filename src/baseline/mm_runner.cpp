@@ -1,112 +1,33 @@
 #include "baseline/mm_runner.h"
 
-#include <algorithm>
-#include <sstream>
-
 #include "baseline/mm_process.h"
+#include "core/sim_world.h"
 #include "util/assert.h"
 
 namespace hyco {
 
 RunResult run_mm(const MmRunConfig& cfg) {
   const ProcId n = cfg.domain.n();
-  const std::vector<Estimate> inputs =
-      cfg.inputs.empty() ? split_inputs(n) : cfg.inputs;
+  std::vector<Estimate> split;
+  const std::vector<Estimate>& inputs =
+      cfg.inputs.empty() ? (split = split_inputs(n)) : cfg.inputs;
   HYCO_CHECK_MSG(inputs.size() == static_cast<std::size_t>(n),
                  "inputs size mismatch");
 
-  Simulator sim(cfg.seed);
-  sim.reserve_all_to_all(n);
-  CrashPlan plan = cfg.crashes;
-  if (plan.specs.empty()) plan = CrashPlan::none(static_cast<std::size_t>(n));
-  CrashTracker tracker(static_cast<std::size_t>(n));
-  auto delays = make_delay_model(cfg.delays);
-  SimNetwork net(sim, *delays, tracker, n, &plan, nullptr);
-
+  SimWorld world(n, cfg.seed, cfg.delays, cfg.crashes);
   MmMemories memories(cfg.domain, cfg.shm_impl);
-
-  std::vector<std::unique_ptr<MmProcess>> procs;
-  procs.reserve(static_cast<std::size_t>(n));
+  ConsensusProcs procs(world, inputs);
   for (ProcId p = 0; p < n; ++p) {
-    procs.push_back(std::make_unique<MmProcess>(
-        p, cfg.domain, memories, net,
+    procs.add(std::make_unique<MmProcess>(
+        p, cfg.domain, memories, world.net(),
         mix64(cfg.seed, 0x33A7 + static_cast<std::uint64_t>(p)),
         cfg.max_rounds));
   }
+  world.schedule_faults();
+  procs.schedule_starts(cfg.seed, 50);
 
-  RunResult result;
-  result.decisions.assign(static_cast<std::size_t>(n), std::nullopt);
-  result.decision_rounds.assign(static_cast<std::size_t>(n), 0);
-
-  net.set_deliver([&](ProcId to, ProcId from, const Message& m) {
-    auto& proc = *procs[static_cast<std::size_t>(to)];
-    const bool was_decided = proc.decided();
-    proc.on_message(from, m);
-    if (!was_decided && proc.decided()) {
-      result.last_decision_time = sim.now();
-    }
-  });
-
-  for (ProcId p = 0; p < n; ++p) {
-    const CrashSpec& spec = plan.specs[static_cast<std::size_t>(p)];
-    if (spec.kind == CrashSpec::Kind::AtTime) {
-      if (spec.time <= 0) {
-        tracker.crash(p, 0);
-      } else {
-        sim.schedule_at(spec.time, [&tracker, p, t = spec.time] {
-          tracker.crash(p, t);
-        });
-      }
-    }
-  }
-  Rng start_rng(mix64(cfg.seed, 0x57A7));
-  for (ProcId p = 0; p < n; ++p) {
-    sim.schedule_at(start_rng.uniform(0, 50), [&, p] {
-      if (tracker.is_crashed(p)) return;
-      procs[static_cast<std::size_t>(p)]->start(
-          inputs[static_cast<std::size_t>(p)]);
-    });
-  }
-
-  result.stop = sim.run(cfg.max_events);
-  result.end_time = sim.now();
-  result.events = sim.events_executed();
-  result.crashed = tracker.crashed_count();
-
-  bool all_correct_decided = true;
-  for (ProcId p = 0; p < n; ++p) {
-    const auto& proc = *procs[static_cast<std::size_t>(p)];
-    const auto idx = static_cast<std::size_t>(p);
-    result.proc_stats.push_back(proc.stats());
-    result.max_round = std::max(result.max_round, proc.current_round());
-    if (proc.decided()) {
-      result.decisions[idx] = proc.decision();
-      result.decision_rounds[idx] = proc.decision_round();
-      result.max_decision_round =
-          std::max(result.max_decision_round, proc.decision_round());
-      if (!result.decided_value.has_value()) {
-        result.decided_value = proc.decision();
-      } else if (*result.decided_value != *proc.decision()) {
-        result.agreement_ok = false;
-        result.violations.push_back("AGREEMENT violated in m&m run");
-      }
-    } else if (!tracker.is_crashed(p)) {
-      all_correct_decided = false;
-    }
-  }
-  result.all_correct_decided = all_correct_decided;
-
-  if (result.decided_value.has_value()) {
-    const bool proposed = std::find(inputs.begin(), inputs.end(),
-                                    *result.decided_value) != inputs.end();
-    if (!proposed) {
-      result.validity_ok = false;
-      result.violations.push_back("VALIDITY violated in m&m run");
-    }
-  }
-
+  RunResult result = procs.run(cfg.max_events);
   result.shm = memories.total();
-  result.net = net.stats();
   return result;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/sim_world.h"
 #include "util/assert.h"
 #include "util/rng.h"
 
@@ -23,13 +24,9 @@ MultiRunResult run_multivalued(const MultiRunConfig& cfg) {
   HYCO_CHECK_MSG(inputs.size() == static_cast<std::size_t>(n),
                  "inputs size mismatch");
 
-  Simulator sim(cfg.seed);
-  sim.reserve_all_to_all(n);
-  CrashPlan plan = cfg.crashes;
-  if (plan.specs.empty()) plan = CrashPlan::none(static_cast<std::size_t>(n));
-  CrashTracker tracker(static_cast<std::size_t>(n));
-  auto delays = make_delay_model(cfg.delays);
-  SimNetwork net(sim, *delays, tracker, n, &plan, nullptr);
+  SimWorld world(n, cfg.seed, cfg.delays, cfg.crashes);
+  Simulator& sim = world.sim();
+  const CrashTracker& tracker = world.tracker();
 
   MemoryPool pool(n, cfg.shm_impl);
   CommonCoin coin(mix64(cfg.seed, 0xC01C02));
@@ -38,25 +35,15 @@ MultiRunResult run_multivalued(const MultiRunConfig& cfg) {
   procs.reserve(static_cast<std::size_t>(n));
   for (ProcId p = 0; p < n; ++p) {
     procs.push_back(std::make_unique<MultiValuedProcess>(
-        p, cfg.layout, net, pool, coin, cfg.width, cfg.max_rounds_per_bit));
+        p, cfg.layout, world.net(), pool, coin, cfg.width,
+        cfg.max_rounds_per_bit));
   }
 
-  net.set_deliver([&](ProcId to, ProcId from, const Message& m) {
+  world.net().set_deliver([&](ProcId to, ProcId from, const Message& m) {
     procs[static_cast<std::size_t>(to)]->on_message(from, m);
   });
 
-  for (ProcId p = 0; p < n; ++p) {
-    const CrashSpec& spec = plan.specs[static_cast<std::size_t>(p)];
-    if (spec.kind == CrashSpec::Kind::AtTime) {
-      if (spec.time <= 0) {
-        tracker.crash(p, 0);
-      } else {
-        sim.schedule_at(spec.time, [&tracker, p, t = spec.time] {
-          tracker.crash(p, t);
-        });
-      }
-    }
-  }
+  world.schedule_faults();
   Rng start_rng(mix64(cfg.seed, 0x57A7));
   for (ProcId p = 0; p < n; ++p) {
     sim.schedule_at(start_rng.uniform(0, 50), [&, p] {
@@ -95,7 +82,7 @@ MultiRunResult run_multivalued(const MultiRunConfig& cfg) {
   }
   result.shm = pool.total();
   result.consensus_objects = pool.objects_created();
-  result.net = net.stats();
+  result.net = world.net().stats();
   return result;
 }
 

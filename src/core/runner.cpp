@@ -9,6 +9,7 @@
 #include "core/common_coin_process.h"
 #include "core/invariant_checker.h"
 #include "core/local_coin_process.h"
+#include "core/sim_world.h"
 #include "obs/observer.h"
 #include "obs/phase_timings.h"
 #include "obs/trace_observer.h"
@@ -41,238 +42,72 @@ std::vector<Estimate> uniform_inputs(ProcId n, Estimate v) {
   return std::vector<Estimate>(static_cast<std::size_t>(n), v);
 }
 
-ConsensusRun::ConsensusRun(RunConfig cfg)
-    : cfg_(std::move(cfg)),
-      inputs_(cfg_.inputs.empty() ? split_inputs(cfg_.layout.n())
-                                  : cfg_.inputs),
-      sim_(cfg_.seed),
-      plan_(cfg_.crashes),
-      tracker_(static_cast<std::size_t>(cfg_.layout.n())) {
-  const ProcId n = cfg_.layout.n();
-  HYCO_CHECK_MSG(inputs_.size() == static_cast<std::size_t>(n),
-                 "inputs size " << inputs_.size() << " != n " << n);
-
-  sim_.reserve_all_to_all(n);
-  if (plan_.specs.empty()) plan_ = CrashPlan::none(static_cast<std::size_t>(n));
-  HYCO_CHECK_MSG(plan_.specs.size() == static_cast<std::size_t>(n),
-                 "crash plan size mismatch");
-
-  delays_ =
-      cfg_.delay_factory ? cfg_.delay_factory() : make_delay_model(cfg_.delays);
-
-  // Scenario faults wrap the delay model in a FaultyChannel and give the
-  // network its partition/loss/duplication hooks. Empty scenario = the
-  // legacy path, bit for bit.
-  DelayModel* channel = delays_.get();
-  if (!cfg_.scenario.empty()) {
-    scenario_ = std::make_unique<ScenarioEngine>(cfg_.scenario, cfg_.layout,
-                                                 std::move(delays_));
-    channel = &scenario_->channel();
-  }
-
-  // Record into the caller's ring when one is supplied (structured export
-  // keeps the records); otherwise a run-local ring backs trace_dump. With
-  // tracing off the network gets no trace at all, so call sites skip even
-  // the detail-string formatting.
-  local_trace_ = std::make_unique<Trace>();
-  trace_ = cfg_.trace_sink != nullptr ? cfg_.trace_sink : local_trace_.get();
-  trace_->enable(cfg_.enable_trace);
-  net_ = std::make_unique<SimNetwork>(sim_, *channel, tracker_, n, &plan_,
-                                      cfg_.enable_trace ? trace_ : nullptr);
-  if (scenario_ != nullptr) net_->set_scenario(scenario_.get());
-
-  checker_ = std::make_unique<InvariantChecker>(cfg_.layout);
-  checker_->set_inputs(inputs_);
-
-  // Cluster memories (hybrid algorithms only touch their own cluster's).
-  if (cfg_.alg != Algorithm::BenOr) {
-    memories_.reserve(static_cast<std::size_t>(cfg_.layout.m()));
-    for (ClusterId x = 0; x < cfg_.layout.m(); ++x) {
-      memories_.push_back(
-          std::make_unique<ClusterMemory>(x, n, cfg_.shm_impl));
-    }
-  }
-
-  // The common coin (Algorithm 3). BiasedCommonCoin models an imperfect
-  // coin for the T-ADV ablation.
-  if (cfg_.alg == Algorithm::HybridCommonCoin) {
-    const std::uint64_t coin_seed = mix64(cfg_.seed, 0xC01C01);
-    if (cfg_.coin_epsilon > 0.0) {
-      common_coin_ = std::make_unique<BiasedCommonCoin>(
-          coin_seed, cfg_.coin_epsilon,
-          [bit = cfg_.adversary_bit](Round) { return bit; });
-    } else {
-      common_coin_ = std::make_unique<CommonCoin>(coin_seed);
-    }
-  }
-
-  procs_.reserve(static_cast<std::size_t>(n));
-  for (ProcId p = 0; p < n; ++p) {
-    const std::uint64_t coin_seed =
-        mix64(cfg_.seed, 0x10CA1 + static_cast<std::uint64_t>(p));
-    switch (cfg_.alg) {
-      case Algorithm::HybridLocalCoin: {
-        auto& mem = *memories_[static_cast<std::size_t>(
-            cfg_.layout.cluster_of(p))];
-        procs_.push_back(std::make_unique<LocalCoinProcess>(
-            p, cfg_.layout, *net_, mem, coin_seed, checker_.get(),
-            cfg_.max_rounds));
-        break;
-      }
-      case Algorithm::HybridCommonCoin: {
-        auto& mem = *memories_[static_cast<std::size_t>(
-            cfg_.layout.cluster_of(p))];
-        procs_.push_back(std::make_unique<CommonCoinProcess>(
-            p, cfg_.layout, *net_, mem, *common_coin_, checker_.get(),
-            cfg_.max_rounds));
-        break;
-      }
-      case Algorithm::BenOr:
-        procs_.push_back(std::make_unique<BenOrProcess>(
-            p, n, *net_, coin_seed, cfg_.max_rounds));
-        break;
-    }
-  }
-
-  // Per-phase latency observer (opt-in) and/or trace mirror. Both read
-  // sim.now() but never mutate simulation state, so instrumented runs are
-  // byte-identical. When both are requested they share the processes'
-  // single observer slot through a fanout.
-  if (cfg_.collect_obs) {
-    timings_ = std::make_unique<obs::PhaseTimings>(
-        n, [this] { return sim_.now(); });
-  }
-  if (cfg_.enable_trace) {
-    trace_obs_ = std::make_unique<obs::TraceObserver>(
-        *trace_, [this] { return sim_.now(); });
-  }
-  obs::IRunObserver* observer = nullptr;
-  if (timings_ != nullptr && trace_obs_ != nullptr) {
-    obs_fanout_ = std::make_unique<obs::ObserverFanout>(timings_.get(),
-                                                        trace_obs_.get());
-    observer = obs_fanout_.get();
-  } else if (timings_ != nullptr) {
-    observer = timings_.get();
-  } else if (trace_obs_ != nullptr) {
-    observer = trace_obs_.get();
-  }
-  if (observer != nullptr) {
-    for (auto& proc : procs_) proc->set_observer(observer);
-  }
-
-  result_.decisions.assign(static_cast<std::size_t>(n), std::nullopt);
-  result_.decision_rounds.assign(static_cast<std::size_t>(n), 0);
-
-  // Deliveries run through here; newly-made decisions are timestamped.
-  net_->set_deliver([this](ProcId to, ProcId from, const Message& m) {
+ConsensusProcs::ConsensusProcs(SimWorld& world,
+                               const std::vector<Estimate>& inputs)
+    : world_(world), inputs_(inputs) {
+  const auto n = static_cast<std::size_t>(world_.n());
+  procs_.reserve(n);
+  started_.assign(n, 0);
+  result_.decisions.assign(n, std::nullopt);
+  result_.decision_rounds.assign(n, 0);
+  world_.net().set_deliver([this](ProcId to, ProcId from, const Message& m) {
     auto& proc = *procs_[static_cast<std::size_t>(to)];
     const bool was_decided = proc.decided();
     proc.on_message(from, m);
     if (!was_decided && proc.decided()) {
-      result_.last_decision_time = sim_.now();
+      result_.last_decision_time = world_.sim().now();
     }
   });
+}
 
-  // Scripted AtTime crashes.
-  for (ProcId p = 0; p < n; ++p) {
-    const CrashSpec& spec = plan_.specs[static_cast<std::size_t>(p)];
-    if (spec.kind == CrashSpec::Kind::AtTime) {
-      if (spec.time <= 0) {
-        tracker_.crash(p, 0);  // initially dead
-      } else {
-        sim_.schedule_at(spec.time, [this, p, t = spec.time] {
-          tracker_.crash(p, t);
-        });
-      }
-    }
+void ConsensusProcs::add(std::unique_ptr<IConsensusProcess> proc) {
+  procs_.push_back(std::move(proc));
+}
+
+void ConsensusProcs::rejoin(ProcId p) {
+  const auto idx = static_cast<std::size_t>(p);
+  for (auto& proc : procs_) proc->on_peer_recover(p);
+  if (started_[idx] == 0) {
+    started_[idx] = 1;
+    procs_[idx]->start(inputs_[idx]);
+  } else {
+    procs_[idx]->on_recover();
   }
+}
 
-  // Crash-recovery cycles (scenario). A process that was down at its start
-  // time proposes on rejoin instead; `started_` guards the double-start.
-  started_.assign(static_cast<std::size_t>(n), 0);
-  if (scenario_ != nullptr) {
-    for (const ScenarioEngine::Rejoin& rj : scenario_->rejoins()) {
-      const ProcId p = rj.proc;
-      if (rj.down_at <= 0) {
-        tracker_.crash(p, 0);  // down from the start
-      } else {
-        sim_.schedule_at(rj.down_at, [this, p, t = rj.down_at] {
-          tracker_.crash(p, t);
-        });
-      }
-      if (rj.up_at == kSimTimeNever) continue;
-      sim_.schedule_at(rj.up_at, [this, p, t = rj.up_at] {
-        const auto idx = static_cast<std::size_t>(p);
-        tracker_.recover(p, t);
-        // Announce the rejoin first: replies peers sent into the down
-        // window were lost, so their per-peer reply guards must reset
-        // before the rejoiner's retransmit reaches them.
-        for (auto& proc : procs_) proc->on_peer_recover(p);
-        if (started_[idx] == 0) {
-          started_[idx] = 1;
-          procs_[idx]->start(inputs_[idx]);
-        } else {
-          procs_[idx]->on_recover();
-        }
-      });
-    }
-  }
-
-  // Decide-reply and catch-up gossip keep scenario runs live (see
-  // RunConfig::scenario).
-  if (scenario_ != nullptr) {
-    for (auto& proc : procs_) proc->set_scenario_assist(true);
-  }
-
-  // Every live process invokes propose(v_p) at its own start time. Clock
-  // skew (scenario) stretches a slow process's start the same way it
-  // stretches its per-message handling.
-  Rng start_rng(mix64(cfg_.seed, 0x57A7));
-  for (ProcId p = 0; p < n; ++p) {
-    SimTime at =
-        cfg_.start_jitter > 0 ? start_rng.uniform(0, cfg_.start_jitter) : 0;
-    if (scenario_ != nullptr) {
-      const double f = scenario_->speed_factor(p);
+void ConsensusProcs::schedule_starts(std::uint64_t seed, SimTime jitter) {
+  const ScenarioEngine* scenario = world_.scenario();
+  Rng start_rng(mix64(seed, 0x57A7));
+  for (ProcId p = 0; p < world_.n(); ++p) {
+    SimTime at = jitter > 0 ? start_rng.uniform(0, jitter) : 0;
+    if (scenario != nullptr) {
+      const double f = scenario->speed_factor(p);
       if (f != 1.0) {
         at = static_cast<SimTime>(std::llround(static_cast<double>(at) * f));
       }
     }
-    sim_.schedule_at(at, [this, p] {
+    world_.sim().schedule_at(at, [this, p] {
       const auto idx = static_cast<std::size_t>(p);
-      if (tracker_.is_crashed(p) || started_[idx] != 0) return;
+      if (world_.tracker().is_crashed(p) || started_[idx] != 0) return;
       started_[idx] = 1;
       procs_[idx]->start(inputs_[idx]);
     });
   }
 }
 
-ConsensusRun::~ConsensusRun() = default;
+RunResult ConsensusProcs::run(std::uint64_t max_events) {
+  result_.stop = world_.sim().run(max_events);
+  const CrashTracker& tracker = world_.tracker();
+  result_.end_time = world_.sim().now();
+  result_.events = world_.sim().events_executed();
+  result_.crashed = tracker.crashed_count();
+  result_.recovered = tracker.recovered_count();
+  result_.net = world_.net().stats();
 
-bool ConsensusRun::tick() {
-  HYCO_CHECK_MSG(!stopped_, "tick() after the run stopped");
-  const std::optional<StopReason> stop = sim_.run_tick(cfg_.max_events);
-  if (!stop) return false;
-  result_.stop = *stop;
-  stopped_ = true;
-  return true;
-}
-
-RunResult ConsensusRun::finish() {
-  HYCO_CHECK_MSG(stopped_, "finish() before the run stopped");
-  HYCO_CHECK_MSG(!finished_, "finish() called twice");
-  finished_ = true;
-
-  const ProcId n = cfg_.layout.n();
-  result_.end_time = sim_.now();
-  result_.events = sim_.events_executed();
-  result_.crashed = tracker_.crashed_count();
-  result_.recovered = tracker_.recovered_count();
-
-  // Harvest per-process outcomes.
   bool all_correct_decided = true;
-  for (ProcId p = 0; p < n; ++p) {
-    const auto& proc = *procs_[static_cast<std::size_t>(p)];
+  for (ProcId p = 0; p < world_.n(); ++p) {
     const auto idx = static_cast<std::size_t>(p);
+    const auto& proc = *procs_[idx];
     result_.proc_stats.push_back(proc.stats());
     result_.max_round = std::max(result_.max_round, proc.current_round());
     if (proc.decided()) {
@@ -289,7 +124,7 @@ RunResult ConsensusRun::finish() {
            << " vs earlier " << *result_.decided_value;
         result_.violations.push_back(os.str());
       }
-    } else if (!tracker_.is_crashed(p)) {
+    } else if (!tracker.is_crashed(p)) {
       all_correct_decided = false;
     }
   }
@@ -304,50 +139,152 @@ RunResult ConsensusRun::finish() {
                                    "was never proposed");
     }
   }
-
-  if (!checker_->ok()) {
-    result_.invariants_ok = false;
-    for (const auto& v : checker_->violations()) {
-      result_.violations.push_back(v);
-    }
-  }
-
-  for (const auto& mem : memories_) {
-    result_.shm += mem->counts();
-    result_.consensus_objects += mem->objects_created();
-  }
-  result_.net = net_->stats();
-
-  // Message-class counters are free (already tallied by the network and the
-  // processes); phase timings only exist under collect_obs.
-  result_.obs[obs::ObsId::kDelivered] = result_.net.delivered;
-  result_.obs[obs::ObsId::kDroppedPartitioned] =
-      result_.net.dropped_partitioned;
-  result_.obs[obs::ObsId::kDroppedLost] = result_.net.dropped_lost;
-  result_.obs[obs::ObsId::kDuplicated] = result_.net.duplicated;
-  result_.obs[obs::ObsId::kHeldPartitioned] = result_.net.held_partitioned;
-  std::uint64_t coin_flips = 0;
-  for (const ProcessStats& ps : result_.proc_stats) {
-    coin_flips += ps.coin_flips;
-  }
-  result_.obs[obs::ObsId::kCoinFlips] = coin_flips;
-  result_.obs[obs::ObsId::kRounds] =
-      static_cast<std::uint64_t>(result_.max_decision_round);
-  if (timings_ != nullptr) timings_->fill(result_.obs);
-
-  if (cfg_.enable_trace) {
-    std::ostringstream os;
-    trace_->dump(os);
-    result_.trace_dump = os.str();
-  }
   return std::move(result_);
 }
 
 RunResult run_consensus(const RunConfig& cfg) {
-  ConsensusRun run(cfg);
-  while (!run.tick()) {
+  const ProcId n = cfg.layout.n();
+  std::vector<Estimate> split;
+  const std::vector<Estimate>& inputs =
+      cfg.inputs.empty() ? (split = split_inputs(n)) : cfg.inputs;
+  HYCO_CHECK_MSG(inputs.size() == static_cast<std::size_t>(n),
+                 "inputs size " << inputs.size() << " != n " << n);
+
+  // Record into the caller's ring when one is supplied (structured export
+  // keeps the records); otherwise a run-local ring backs trace_dump. With
+  // tracing off the world gets no trace at all, so call sites skip even
+  // the detail-string formatting.
+  std::unique_ptr<Trace> local_trace;
+  Trace* trace = nullptr;
+  if (cfg.enable_trace) {
+    if (cfg.trace_sink == nullptr) local_trace = std::make_unique<Trace>();
+    trace = cfg.trace_sink != nullptr ? cfg.trace_sink : local_trace.get();
   }
-  return run.finish();
+  SimWorld world(cfg.layout, cfg.seed, cfg.delays, cfg.delay_factory,
+                 cfg.crashes, cfg.scenario, trace);
+
+  InvariantChecker checker(cfg.layout);
+  checker.set_inputs(inputs);
+
+  // Cluster memories (hybrid algorithms only touch their own cluster's).
+  std::vector<std::unique_ptr<ClusterMemory>> memories;
+  if (cfg.alg != Algorithm::BenOr) {
+    memories.reserve(static_cast<std::size_t>(cfg.layout.m()));
+    for (ClusterId x = 0; x < cfg.layout.m(); ++x) {
+      memories.push_back(std::make_unique<ClusterMemory>(x, n, cfg.shm_impl));
+    }
+  }
+
+  // The common coin (Algorithm 3). BiasedCommonCoin models an imperfect
+  // coin for the T-ADV ablation.
+  std::unique_ptr<ICommonCoin> common_coin;
+  if (cfg.alg == Algorithm::HybridCommonCoin) {
+    const std::uint64_t coin_seed = mix64(cfg.seed, 0xC01C01);
+    if (cfg.coin_epsilon > 0.0) {
+      common_coin = std::make_unique<BiasedCommonCoin>(
+          coin_seed, cfg.coin_epsilon,
+          [bit = cfg.adversary_bit](Round) { return bit; });
+    } else {
+      common_coin = std::make_unique<CommonCoin>(coin_seed);
+    }
+  }
+
+  ConsensusProcs procs(world, inputs);
+  for (ProcId p = 0; p < n; ++p) {
+    const std::uint64_t coin_seed =
+        mix64(cfg.seed, 0x10CA1 + static_cast<std::uint64_t>(p));
+    switch (cfg.alg) {
+      case Algorithm::HybridLocalCoin:
+        procs.add(std::make_unique<LocalCoinProcess>(
+            p, cfg.layout, world.net(),
+            *memories[static_cast<std::size_t>(cfg.layout.cluster_of(p))],
+            coin_seed, &checker, cfg.max_rounds));
+        break;
+      case Algorithm::HybridCommonCoin:
+        procs.add(std::make_unique<CommonCoinProcess>(
+            p, cfg.layout, world.net(),
+            *memories[static_cast<std::size_t>(cfg.layout.cluster_of(p))],
+            *common_coin, &checker, cfg.max_rounds));
+        break;
+      case Algorithm::BenOr:
+        procs.add(std::make_unique<BenOrProcess>(p, n, world.net(), coin_seed,
+                                                 cfg.max_rounds));
+        break;
+    }
+  }
+
+  // Per-phase latency observer (opt-in) and/or trace mirror. Both read
+  // sim.now() but never mutate simulation state, so instrumented runs are
+  // byte-identical. When both are requested they share the processes'
+  // single observer slot through a fanout.
+  Simulator& sim = world.sim();
+  std::unique_ptr<obs::PhaseTimings> timings;
+  std::unique_ptr<obs::TraceObserver> trace_obs;
+  std::unique_ptr<obs::ObserverFanout> fanout;
+  if (cfg.collect_obs) {
+    timings = std::make_unique<obs::PhaseTimings>(
+        n, [&sim] { return sim.now(); });
+  }
+  if (trace != nullptr) {
+    trace_obs = std::make_unique<obs::TraceObserver>(
+        *trace, [&sim] { return sim.now(); });
+  }
+  obs::IRunObserver* observer = nullptr;
+  if (timings != nullptr && trace_obs != nullptr) {
+    fanout = std::make_unique<obs::ObserverFanout>(timings.get(),
+                                                   trace_obs.get());
+    observer = fanout.get();
+  } else if (timings != nullptr) {
+    observer = timings.get();
+  } else if (trace_obs != nullptr) {
+    observer = trace_obs.get();
+  }
+  if (observer != nullptr) {
+    for (const auto& proc : procs.all()) proc->set_observer(observer);
+  }
+
+  world.schedule_faults([&procs](ProcId p) { procs.rejoin(p); });
+
+  // Decide-reply and catch-up gossip keep scenario runs live (see
+  // RunConfig::scenario).
+  if (world.scenario() != nullptr) {
+    for (const auto& proc : procs.all()) proc->set_scenario_assist(true);
+  }
+
+  // Every live process invokes propose(v_p) at its own start time.
+  procs.schedule_starts(cfg.seed, cfg.start_jitter);
+
+  RunResult result = procs.run(cfg.max_events);
+
+  if (!checker.ok()) {
+    result.invariants_ok = false;
+    for (const auto& v : checker.violations()) result.violations.push_back(v);
+  }
+  for (const auto& mem : memories) {
+    result.shm += mem->counts();
+    result.consensus_objects += mem->objects_created();
+  }
+
+  // Message-class counters are free (already tallied by the network and the
+  // processes); phase timings only exist under collect_obs.
+  result.obs[obs::ObsId::kDelivered] = result.net.delivered;
+  result.obs[obs::ObsId::kDroppedPartitioned] = result.net.dropped_partitioned;
+  result.obs[obs::ObsId::kDroppedLost] = result.net.dropped_lost;
+  result.obs[obs::ObsId::kDuplicated] = result.net.duplicated;
+  result.obs[obs::ObsId::kHeldPartitioned] = result.net.held_partitioned;
+  std::uint64_t coin_flips = 0;
+  for (const ProcessStats& ps : result.proc_stats) coin_flips += ps.coin_flips;
+  result.obs[obs::ObsId::kCoinFlips] = coin_flips;
+  result.obs[obs::ObsId::kRounds] =
+      static_cast<std::uint64_t>(result.max_decision_round);
+  if (timings != nullptr) timings->fill(result.obs);
+
+  if (trace != nullptr) {
+    std::ostringstream os;
+    trace->dump(os);
+    result.trace_dump = os.str();
+  }
+  return result;
 }
 
 }  // namespace hyco

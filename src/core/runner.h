@@ -1,9 +1,7 @@
-// One-call simulation driver: builds the simulator, network, cluster
+// One-call simulation driver: builds the world (core/sim_world.h), cluster
 // memories, coins and processes for a configuration, runs to quiescence (or
 // a limit), and returns decisions plus full instrumentation. Every test,
-// example, and experiment harness goes through run_consensus(), which is a
-// thin loop over the resumable ConsensusRun (construct → tick → finish) the
-// multi-lane executor interleaves.
+// example, and experiment harness goes through run_consensus().
 #pragma once
 
 #include <cstdint>
@@ -140,70 +138,58 @@ struct RunResult {
   }
 };
 
-namespace obs {
-class ObserverFanout;
-class PhaseTimings;
-class TraceObserver;
-}  // namespace obs
+class SimWorld;
 
-class ClusterMemory;
-class ICommonCoin;
-class InvariantChecker;
-class ScenarioEngine;
-
-/// run_consensus() decomposed into resumable pieces: the constructor does
-/// every piece of setup (simulator, network, memories, coins, processes,
-/// scheduled crashes/rejoins/starts), tick() advances the simulation by at
-/// most one virtual-time tick, and finish() harvests the RunResult once
-/// tick() reports the run stopped.
-///
-/// The point of the split is the multi-lane executor: K independent runs
-/// per worker interleave tick-by-tick to hide the memory latency one deep
-/// event queue exposes. Each run's simulator is fully self-contained, so
-/// interleaving cannot change any run's behavior — run_consensus() and a
-/// lane cohort produce bit-identical results.
-///
-/// Not copyable or movable: scheduled closures capture `this`.
-class ConsensusRun {
+/// The part of a consensus run that run_consensus and run_mm share: one
+/// world's IConsensusProcesses, their start events and deliveries, and the
+/// harvest of their decisions into a RunResult.
+class ConsensusProcs {
  public:
-  explicit ConsensusRun(RunConfig cfg);
-  ~ConsensusRun();
-  ConsensusRun(const ConsensusRun&) = delete;
-  ConsensusRun& operator=(const ConsensusRun&) = delete;
+  /// Routes the world's deliveries to the processes (add them before the
+  /// run starts); a delivery that makes its receiver decide stamps
+  /// last_decision_time. `world` and `inputs` (one proposal per process)
+  /// must outlive this object.
+  ConsensusProcs(SimWorld& world, const std::vector<Estimate>& inputs);
 
-  /// Runs at most one virtual-time tick. Returns true when the run has
-  /// stopped (quiescent or a limit) — do not call again after that.
-  bool tick();
+  // Not copyable or movable: the deliver hook and scheduled closures
+  // capture `this`.
+  ConsensusProcs(const ConsensusProcs&) = delete;
+  ConsensusProcs& operator=(const ConsensusProcs&) = delete;
 
-  /// Harvests and returns the result. Call exactly once, after tick()
-  /// returned true.
-  RunResult finish();
+  /// Appends the next process (process ids are consecutive from 0).
+  void add(std::unique_ptr<IConsensusProcess> proc);
+  [[nodiscard]] const std::vector<std::unique_ptr<IConsensusProcess>>& all()
+      const {
+    return procs_;
+  }
+
+  /// Scenario rejoin of p (a SimWorld::schedule_faults callback): every
+  /// process hears of it first, since replies sent into p's down window
+  /// were lost; then p proposes if it was down at its start time, or
+  /// retransmits what peers need (on_recover) if it had started.
+  void rejoin(ProcId p);
+
+  /// Schedules each process's propose() at a time drawn from [0, jitter]
+  /// off the seeded start stream, stretched by the scenario's clock skew.
+  /// A process that is down at its start time, or already started by a
+  /// rejoin, skips it.
+  void schedule_starts(std::uint64_t seed, SimTime jitter);
+
+  /// Runs the world until it stops and harvests the result: per-process
+  /// decisions, rounds and stats, termination of every correct process,
+  /// agreement, validity, and the world's end time, event, crash and
+  /// network counts.
+  RunResult run(std::uint64_t max_events);
 
  private:
-  RunConfig cfg_;
-  std::vector<Estimate> inputs_;
-  Simulator sim_;
-  CrashPlan plan_;
-  CrashTracker tracker_;
-  std::unique_ptr<DelayModel> delays_;
-  std::unique_ptr<ScenarioEngine> scenario_;
-  std::unique_ptr<Trace> local_trace_;
-  Trace* trace_ = nullptr;
-  std::unique_ptr<SimNetwork> net_;
-  std::unique_ptr<InvariantChecker> checker_;
-  std::vector<std::unique_ptr<ClusterMemory>> memories_;
-  std::unique_ptr<ICommonCoin> common_coin_;
+  SimWorld& world_;
+  const std::vector<Estimate>& inputs_;
   std::vector<std::unique_ptr<IConsensusProcess>> procs_;
-  std::unique_ptr<obs::PhaseTimings> timings_;
-  std::unique_ptr<obs::TraceObserver> trace_obs_;
-  std::unique_ptr<obs::ObserverFanout> obs_fanout_;
   std::vector<char> started_;
   RunResult result_;
-  bool stopped_ = false;
-  bool finished_ = false;
 };
 
-/// Builds and runs one simulation (ConsensusRun ticked to completion).
+/// Builds and runs one simulation.
 RunResult run_consensus(const RunConfig& cfg);
 
 /// Helper: split input vector (process i proposes i % 2).

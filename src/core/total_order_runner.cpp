@@ -4,20 +4,16 @@
 #include <memory>
 #include <sstream>
 
-#include "sim/simulator.h"
+#include "core/sim_world.h"
 #include "util/assert.h"
 
 namespace hyco {
 
 TobRunResult run_tob(const TobRunConfig& cfg) {
   const ProcId n = cfg.layout.n();
-  Simulator sim(cfg.seed);
-  sim.reserve_all_to_all(n);
-  CrashPlan plan = cfg.crashes;
-  if (plan.specs.empty()) plan = CrashPlan::none(static_cast<std::size_t>(n));
-  CrashTracker tracker(static_cast<std::size_t>(n));
-  auto delays = make_delay_model(cfg.delays);
-  SimNetwork net(sim, *delays, tracker, n, &plan, nullptr);
+  SimWorld world(n, cfg.seed, cfg.delays, cfg.crashes);
+  Simulator& sim = world.sim();
+  const CrashTracker& tracker = world.tracker();
 
   MemoryPool pool(n, ConsensusImpl::Cas);
   CommonCoin coin(mix64(cfg.seed, 0xC01C03));
@@ -26,24 +22,13 @@ TobRunResult run_tob(const TobRunConfig& cfg) {
   procs.reserve(static_cast<std::size_t>(n));
   for (ProcId p = 0; p < n; ++p) {
     procs.push_back(std::make_unique<TobProcess>(
-        p, cfg.layout, net, pool, coin, cfg.max_rounds_per_bit));
+        p, cfg.layout, world.net(), pool, coin, cfg.max_rounds_per_bit));
   }
-  net.set_deliver([&](ProcId to, ProcId from, const Message& m) {
+  world.net().set_deliver([&](ProcId to, ProcId from, const Message& m) {
     procs[static_cast<std::size_t>(to)]->on_message(from, m);
   });
 
-  for (ProcId p = 0; p < n; ++p) {
-    const CrashSpec& spec = plan.specs[static_cast<std::size_t>(p)];
-    if (spec.kind == CrashSpec::Kind::AtTime) {
-      if (spec.time <= 0) {
-        tracker.crash(p, 0);
-      } else {
-        sim.schedule_at(spec.time, [&tracker, p, t = spec.time] {
-          tracker.crash(p, t);
-        });
-      }
-    }
-  }
+  world.schedule_faults();
   for (const TobSubmission& s : cfg.submissions) {
     HYCO_CHECK_MSG(s.payload != TobProcess::kNoop, "payload 0 reserved");
     sim.schedule_at(s.at, [&, s] {
@@ -57,7 +42,7 @@ TobRunResult run_tob(const TobRunConfig& cfg) {
   result.events = sim.events_executed();
   result.end_time = sim.now();
   result.crashed = tracker.crashed_count();
-  result.net = net.stats();
+  result.net = world.net().stats();
 
   for (ProcId p = 0; p < n; ++p) {
     result.logs.push_back(procs[static_cast<std::size_t>(p)]->delivered());

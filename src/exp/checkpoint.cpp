@@ -65,9 +65,18 @@ void write_metric(std::ostream& out, const char* name, const MetricStats& m,
       << u128_to_string(mo.raw_sum()) << ' '
       << u128_to_string(mo.raw_sumsq()) << ' ' << mo.raw_min() << ' '
       << mo.raw_max() << '\n';
+  // Entries go out sorted by (priority, value), not in the reservoir's
+  // heap order, so equal accumulators serialize to equal bytes whatever
+  // order their chunks were merged in.
   const ReservoirSample& res = m.reservoir();
+  using Entry = ReservoirSample::Entry;
+  std::vector<Entry> entries = res.entries();
+  std::sort(entries.begin(), entries.end(), [](const Entry& x, const Entry& y) {
+    return x.priority != y.priority ? x.priority < y.priority
+                                    : x.value < y.value;
+  });
   out << prefix << "r " << name << ' ' << res.capacity() << ' ' << res.size();
-  for (const auto& e : res.entries()) {
+  for (const auto& e : entries) {
     out << ' ' << e.priority << ':' << format_number(e.value);
   }
   out << '\n';

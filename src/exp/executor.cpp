@@ -60,7 +60,6 @@ void ParallelExecutor::run(const std::vector<ExperimentCell>& cells,
                            RunSink& sink) const {
   if (cells.empty() || spans.empty()) return;
   HYCO_CHECK_MSG(opts_.chunk_size >= 1, "chunk_size must be >= 1");
-  HYCO_CHECK_MSG(opts_.lanes >= 1, "lanes must be >= 1");
 
   const std::size_t n_cells = cells.size();
   const std::size_t n_spans = spans.size();
@@ -151,42 +150,10 @@ void ParallelExecutor::run(const std::vector<ExperimentCell>& cells,
           const ServiceRunConfig cfg = cell.service_run_config(k);
           fold(extract_service_record(k, cfg.seed, run_service(cfg)));
         }
-      } else if (opts_.lanes <= 1) {
+      } else {
         for (std::uint64_t k = begin; k < end; ++k) {
           const RunConfig cfg = cell.run_config(k);
           fold(extract_record(k, cfg.seed, run_consensus(cfg)));
-        }
-      } else {
-        // Multi-lane mode: a cohort of independent runs advances
-        // round-robin, one virtual-time tick per turn, so a cache miss in
-        // one simulator's queue overlaps another's work. Each run is
-        // self-contained and results fold in run-index order, so the
-        // artifacts are byte-identical to the sequential loop above.
-        for (std::uint64_t k = begin; k < end;) {
-          const std::size_t width = static_cast<std::size_t>(
-              std::min<std::uint64_t>(opts_.lanes, end - k));
-          std::vector<std::unique_ptr<ConsensusRun>> cohort;
-          cohort.reserve(width);
-          for (std::size_t l = 0; l < width; ++l) {
-            cohort.push_back(std::make_unique<ConsensusRun>(
-                cell.run_config(k + static_cast<std::uint64_t>(l))));
-          }
-          std::vector<char> stopped(width, 0);
-          std::size_t live = width;
-          while (live > 0) {
-            for (std::size_t l = 0; l < width; ++l) {
-              if (stopped[l] == 0 && cohort[l]->tick()) {
-                stopped[l] = 1;
-                --live;
-              }
-            }
-          }
-          for (std::size_t l = 0; l < width; ++l) {
-            const std::uint64_t run = k + static_cast<std::uint64_t>(l);
-            const RunConfig cfg = cell.run_config(run);
-            fold(extract_record(run, cfg.seed, cohort[l]->finish()));
-          }
-          k += width;
         }
       }
       if (opts_.profile) {

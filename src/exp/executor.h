@@ -52,14 +52,6 @@ class ParallelExecutor {
     /// Measure per-chunk wall/CPU time and feed RunSink::absorb_profile.
     /// Host-side timing only — simulation results are unaffected.
     bool profile = false;
-    /// Independent runs interleaved per worker thread (consensus cells
-    /// only; service cells always run one at a time). Lanes > 1 advance a
-    /// cohort of simulators round-robin, tick by tick, to overlap the
-    /// memory latency a single deep event queue exposes. Results are
-    /// byte-identical at any lane count: each run's simulator is
-    /// self-contained and cohort results fold in run-index order. Must be
-    /// >= 1.
-    std::uint64_t lanes = 1;
   };
 
   ParallelExecutor() = default;

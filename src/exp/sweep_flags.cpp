@@ -10,8 +10,6 @@ const std::vector<SweepFlag>& sweep_flag_registry() {
       {"m", "cluster counts (comma list; cells with m > n skip)"},
       {"runs", "seeds per cell"},
       {"threads", "local worker threads; 0 = hardware concurrency"},
-      {"lanes", "independent runs interleaved per worker, tick by tick"
-                " (consensus cells; byte-identical at any count)"},
       {"seed", "base seed"},
       {"eps", "common-coin corruption probabilities (comma list)"},
       {"inputs", "proposal assignment: split | all0 | all1"},

@@ -1,6 +1,6 @@
 // ScenarioEngine — one run's live fault-injection machinery.
 //
-// Built by run_consensus() from RunConfig::scenario: takes ownership of the
+// Built by SimWorld from a run's ScenarioConfig: takes ownership of the
 // run's base DelayModel, wraps it in a FaultyChannel (loss, duplication,
 // bounded reordering, the coin attack), resolves the partition schedule and
 // crash-recovery plan against the run's layout, and hands SimNetwork the

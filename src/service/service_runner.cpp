@@ -7,7 +7,7 @@
 
 #include "coin/coin.h"
 #include "core/multivalued.h"
-#include "scenario/engine.h"
+#include "core/sim_world.h"
 #include "service/replica.h"
 #include "service/traffic.h"
 #include "sim/trace.h"
@@ -20,29 +20,14 @@ ServiceRunResult run_service(const ServiceRunConfig& cfg) {
   const ProcId n = cfg.layout.n();
   HYCO_CHECK_MSG(cfg.clients >= 1, "service runs need at least one client");
 
-  Simulator sim(cfg.seed);
-  sim.reserve_all_to_all(n);
-  CrashPlan plan = cfg.crashes;
-  if (plan.specs.empty()) plan = CrashPlan::none(static_cast<std::size_t>(n));
-  HYCO_CHECK_MSG(plan.specs.size() == static_cast<std::size_t>(n),
-                 "crash plan size mismatch");
-  CrashTracker tracker(static_cast<std::size_t>(n));
-
-  std::unique_ptr<DelayModel> delays =
-      cfg.delay_factory ? cfg.delay_factory() : make_delay_model(cfg.delays);
-  std::unique_ptr<ScenarioEngine> scenario;
-  DelayModel* channel = delays.get();
-  if (!cfg.scenario.empty()) {
-    scenario = std::make_unique<ScenarioEngine>(cfg.scenario, cfg.layout,
-                                                std::move(delays));
-    channel = &scenario->channel();
-  }
   Trace* trace =
       (cfg.enable_trace && cfg.trace_sink != nullptr) ? cfg.trace_sink
                                                       : nullptr;
-  if (trace != nullptr) trace->enable(true);
-  SimNetwork net(sim, *channel, tracker, n, &plan, trace);
-  if (scenario != nullptr) net.set_scenario(scenario.get());
+  SimWorld world(cfg.layout, cfg.seed, cfg.delays, cfg.delay_factory,
+                 cfg.crashes, cfg.scenario, trace);
+  Simulator& sim = world.sim();
+  const CrashTracker& tracker = world.tracker();
+  SimNetwork& net = world.net();
 
   MemoryPool pool(n, ConsensusImpl::Cas);
 
@@ -146,46 +131,26 @@ ServiceRunResult run_service(const ServiceRunConfig& cfg) {
     }
   }
 
-  // Scripted AtTime crashes; `ever_crashed` feeds the termination verdict.
+  // Timed crashes and scenario crash-recovery cycles. A replica's state
+  // survives a scenario crash (crash-recovery with stable storage);
+  // messages sent into the down window are lost, so a recovered replica
+  // may stall on in-flight slots — safety is the guarantee, termination
+  // returns when enough traffic flows again. `ever_crashed` feeds the
+  // termination verdict.
   std::vector<char> ever_crashed(static_cast<std::size_t>(n), 0);
-  for (ProcId p = 0; p < n; ++p) {
-    const CrashSpec& spec = plan.specs[static_cast<std::size_t>(p)];
-    if (spec.kind == CrashSpec::Kind::AtTime) {
-      ever_crashed[static_cast<std::size_t>(p)] = 1;
-      if (spec.time <= 0) {
-        tracker.crash(p, 0);
-      } else {
-        sim.schedule_at(spec.time, [&tracker, p, t = spec.time] {
-          tracker.crash(p, t);
-        });
-      }
-    } else {
-      HYCO_CHECK_MSG(spec.kind == CrashSpec::Kind::None,
-                     "service runs support AtTime crash specs only");
+  for (std::size_t p = 0; p < world.plan().specs.size(); ++p) {
+    const CrashSpec::Kind kind = world.plan().specs[p].kind;
+    HYCO_CHECK_MSG(kind == CrashSpec::Kind::None ||
+                       kind == CrashSpec::Kind::AtTime,
+                   "service runs support AtTime crash specs only");
+    if (kind == CrashSpec::Kind::AtTime) ever_crashed[p] = 1;
+  }
+  if (world.scenario() != nullptr) {
+    for (const ScenarioEngine::Rejoin& rj : world.scenario()->rejoins()) {
+      ever_crashed[static_cast<std::size_t>(rj.proc)] = 1;
     }
   }
-
-  // Scenario crash-recovery cycles: the replica's state survives (crash-
-  // recovery with stable storage); messages sent into the down window are
-  // lost, so a recovered replica may stall on in-flight slots — safety is
-  // the guarantee, termination returns when enough traffic flows again.
-  if (scenario != nullptr) {
-    for (const ScenarioEngine::Rejoin& rj : scenario->rejoins()) {
-      const ProcId p = rj.proc;
-      ever_crashed[static_cast<std::size_t>(p)] = 1;
-      if (rj.down_at <= 0) {
-        tracker.crash(p, 0);
-      } else {
-        sim.schedule_at(rj.down_at, [&tracker, p, t = rj.down_at] {
-          tracker.crash(p, t);
-        });
-      }
-      if (rj.up_at == kSimTimeNever) continue;
-      sim.schedule_at(rj.up_at, [&tracker, p, t = rj.up_at] {
-        tracker.recover(p, t);
-      });
-    }
-  }
+  world.schedule_faults();
 
   traffic.start();
 

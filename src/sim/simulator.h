@@ -75,9 +75,9 @@ class Simulator {
   }
 
   /// Pre-sizing for an n-process all-to-all protocol: one phase keeps ~n²
-  /// deliveries in flight, plus up to 2n start/crash timers. Every runner
-  /// calls this right after construction so the hot path never reallocates
-  /// mid-run.
+  /// deliveries in flight, plus up to 2n start/crash timers. SimWorld
+  /// calls this for every runner (after bounding n by SimWorld::kMaxProcs)
+  /// so the hot path never reallocates mid-run.
   void reserve_all_to_all(ProcId n) {
     const auto nn = static_cast<std::size_t>(n);
     reserve(nn * nn + 2 * nn, 2 * nn);
@@ -113,8 +113,7 @@ class Simulator {
   /// Executes at most one virtual-time tick (all events at the minimum
   /// time, bounded by max_events) and returns the stop reason if the run
   /// is over, std::nullopt if there is more to do. run() is exactly this
-  /// in a loop; multi-lane executors interleave several simulators by
-  /// calling it round-robin.
+  /// in a loop.
   std::optional<StopReason> run_tick(
       std::uint64_t max_events = std::numeric_limits<std::uint64_t>::max(),
       SimTime time_limit = std::numeric_limits<SimTime>::max());

@@ -4,6 +4,7 @@
 #include <memory>
 #include <sstream>
 
+#include "core/sim_world.h"
 #include "util/assert.h"
 #include "util/rng.h"
 
@@ -87,13 +88,10 @@ bool check_register_atomicity(const std::vector<RegOpRecord>& history,
 
 RegisterRunResult run_register_workload(const RegisterRunConfig& cfg) {
   const ProcId n = cfg.layout.n();
-  Simulator sim(cfg.seed);
-  sim.reserve_all_to_all(n);
-  CrashPlan plan = cfg.crashes;
-  if (plan.specs.empty()) plan = CrashPlan::none(static_cast<std::size_t>(n));
-  CrashTracker tracker(static_cast<std::size_t>(n));
-  auto delays = make_delay_model(cfg.delays);
-  SimNetwork net(sim, *delays, tracker, n, &plan, nullptr);
+  SimWorld world(n, cfg.seed, cfg.delays, cfg.crashes);
+  Simulator& sim = world.sim();
+  const CrashTracker& tracker = world.tracker();
+  SimNetwork& net = world.net();
 
   std::vector<std::unique_ptr<ClusterRegState>> cluster_state;
   for (ClusterId x = 0; x < cfg.layout.m(); ++x) {
@@ -142,18 +140,7 @@ RegisterRunResult run_register_workload(const RegisterRunConfig& cfg) {
     }
   };
 
-  for (ProcId p = 0; p < n; ++p) {
-    const CrashSpec& spec = plan.specs[static_cast<std::size_t>(p)];
-    if (spec.kind == CrashSpec::Kind::AtTime) {
-      if (spec.time <= 0) {
-        tracker.crash(p, 0);
-      } else {
-        sim.schedule_at(spec.time, [&tracker, p, t = spec.time] {
-          tracker.crash(p, t);
-        });
-      }
-    }
-  }
+  world.schedule_faults();
   for (ProcId p = 0; p < n; ++p) {
     sim.schedule_at(0, [&, p] { issue_next(p); });
   }

@@ -54,10 +54,9 @@ std::string render(const std::vector<CellResult>& results) {
   return csv.str() + "\n---\n" + json.str();
 }
 
-std::string run_grid(std::int64_t threads, std::uint64_t lanes = 1) {
+std::string run_grid(std::int64_t threads) {
   ParallelExecutor::Options opts;
   opts.threads = threads;
-  opts.lanes = lanes;
   const ParallelExecutor exec(opts);
   return render(exec.run(small_grid()));
 }
@@ -72,19 +71,6 @@ TEST(Determinism, ThreadCountDoesNotChangeArtifacts) {
   const std::string one = run_grid(1);
   const std::string four = run_grid(4);
   EXPECT_EQ(one, four);
-}
-
-TEST(Determinism, LaneCountDoesNotChangeArtifacts) {
-  // The multi-lane executor interleaves K ConsensusRuns tick-by-tick per
-  // worker; each run's simulator is self-contained and cohort results fold
-  // in run-index order, so artifacts must match the sequential path byte
-  // for byte — including the scripted-crash and faulty-scenario cells.
-  const std::string sequential = run_grid(1, 1);
-  const std::string laned = run_grid(1, 4);
-  EXPECT_EQ(sequential, laned);
-  // Threads and lanes compose.
-  const std::string both = run_grid(2, 3);
-  EXPECT_EQ(sequential, both);
 }
 
 TEST(Determinism, SingleRunReplaysBitForBit) {
