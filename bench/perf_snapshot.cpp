@@ -5,7 +5,8 @@
 // can run in any CI job and seed the repo's performance trajectory.
 //
 // Writes a JSON document (default BENCH_sim.json) with events/sec, msgs/sec
-// and peak queue depth per benchmark. Methodology: each loop is repeated
+// and peak queue depth per benchmark, plus two end-to-end rows: a full
+// replicated-service run and full hybrid common-coin consensus runs. Methodology: each loop is repeated
 // `--reps` times and the best rate is reported (minimum-noise estimator for
 // a throughput benchmark on a shared machine).
 //
@@ -21,6 +22,7 @@
 #include <iostream>
 #include <string>
 
+#include "core/runner.h"
 #include "net/network.h"
 #include "service/service_runner.h"
 #include "sim/simulator.h"
@@ -140,6 +142,32 @@ BenchResult bench_service_ops(int reps) {
   return r;
 }
 
+/// End-to-end consensus throughput: full run_consensus runs (world set-up,
+/// handlers, quorum tests, SHM objects, coin, invariant checker, teardown)
+/// of hybrid common-coin consensus at n=256 m=16 with split inputs, over
+/// fixed seeds 1..16, in delivered messages per wall second.
+BenchResult bench_consensus_cc(int reps) {
+  BenchResult r;
+  for (int rep = 0; rep < reps; ++rep) {
+    std::uint64_t delivered = 0;
+    const auto t0 = Clock::now();
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+      RunConfig cfg(ClusterLayout::even(256, 16));
+      cfg.alg = Algorithm::HybridCommonCoin;
+      cfg.inputs = split_inputs(256);
+      cfg.seed = seed;
+      const RunResult res = run_consensus(cfg);
+      HYCO_CHECK_MSG(res.success(), "consensus benchmark run failed (seed "
+                                        << seed << ")");
+      delivered += res.net.delivered;
+    }
+    const double rate = static_cast<double>(delivered) / seconds_since(t0);
+    r.items = delivered;
+    if (rate > r.best_rate) r.best_rate = rate;
+  }
+  return r;
+}
+
 /// The acceptance benchmark: full network path (delay model, crash checks,
 /// stats, deliver dispatch) under all-to-all broadcast bursts.
 BenchResult bench_broadcast_delivery(ProcId n, int reps) {
@@ -201,14 +229,17 @@ int main(int argc, char** argv) {
   const BenchResult bcast = bench_broadcast_delivery(n, reps);
   std::cerr << "perf_snapshot: service decided ops...\n";
   const BenchResult service = bench_service_ops(reps);
+  std::cerr << "perf_snapshot: consensus CC n=256 m=16...\n";
+  const BenchResult consensus = bench_consensus_cc(reps);
 
   std::ofstream out(out_path);
   HYCO_CHECK_MSG(out.good(), "cannot open " << out_path);
-  // Schema 2 = schema 1 plus calendar_fanout and service_decided_ops; every
-  // schema-1 key keeps its exact name and shape so existing consumers (the
-  // CI perf guard's older revisions, plotting scripts) read both.
+  // Schema 2 = schema 1 plus calendar_fanout and service_decided_ops;
+  // schema 3 appends consensus_cc_n256. Every older key keeps its exact
+  // name and shape so existing consumers (the CI perf guard's older
+  // revisions, plotting scripts) read them all.
   out << "{\n"
-      << "  \"schema\": \"hyco-bench-sim/2\",\n"
+      << "  \"schema\": \"hyco-bench-sim/3\",\n"
       << "  \"config\": {\"n\": " << n << ", \"reps\": " << reps << "},\n"
       << "  \"results\": {\n";
   emit(out, "simulator_event_throughput", "events_per_sec", events);
@@ -217,7 +248,10 @@ int main(int argc, char** argv) {
   emit(out, "network_broadcast_delivery", "msgs_per_sec", bcast);
   out << "    \"service_decided_ops\": {\"items\": " << service.items
       << ", \"ops_per_sec\": "
-      << static_cast<std::uint64_t>(service.best_rate) << "}"
+      << static_cast<std::uint64_t>(service.best_rate) << "},\n";
+  out << "    \"consensus_cc_n256\": {\"items\": " << consensus.items
+      << ", \"msgs_per_sec\": "
+      << static_cast<std::uint64_t>(consensus.best_rate) << "}"
       << (baseline > 0.0 ? ",\n" : "\n");
   if (baseline > 0.0) {
     out << "    \"reference\": {\"pre_refactor_broadcast_msgs_per_sec\": "
@@ -238,7 +272,10 @@ int main(int argc, char** argv) {
             << " (peak queue depth " << bcast.peak_queue << ")\n"
             << "service decided:    "
             << static_cast<std::uint64_t>(service.best_rate)
-            << " ops/sec (wall)\n";
+            << " ops/sec (wall)\n"
+            << "consensus CC n=256: "
+            << static_cast<std::uint64_t>(consensus.best_rate)
+            << " msgs/sec (wall)\n";
   if (baseline > 0.0) {
     std::cout << "speedup vs baseline: " << bcast.best_rate / baseline
               << "x\n";

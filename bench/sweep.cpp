@@ -174,6 +174,7 @@
 #include "scenario/engine.h"
 #include "scenario/scenario.h"
 #include "service/service_runner.h"
+#include "service/traffic.h"
 #include "sim/trace.h"
 #include "util/assert.h"
 #include "util/log.h"
@@ -521,6 +522,14 @@ int main(int argc, char** argv) {
                      "--ops-per-client must be in [1, 1000000], got " << opc);
       service_ops_per_run = static_cast<std::uint64_t>(clients) *
                             static_cast<std::uint64_t>(opc);
+      // Checked here, on the main thread: the traffic engine reserves every
+      // op up front, and its own check inside an executor worker would
+      // throw past the thread and terminate.
+      HYCO_CHECK_MSG(service_ops_per_run <= TrafficEngine::kMaxOps,
+                     "--clients x --ops-per-client must be <= "
+                         << TrafficEngine::kMaxOps
+                         << " (TrafficEngine::kMaxOps), got " << clients
+                         << " x " << opc);
       const auto batch_delay = opts.get_int("batch-delay", 50'000);
       HYCO_CHECK_MSG(batch_delay >= 0,
                      "--batch-delay must be >= 0 ns, got " << batch_delay);

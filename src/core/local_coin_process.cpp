@@ -64,7 +64,10 @@ void LocalCoinProcess::complete_phase1() {
 void LocalCoinProcess::complete_phase2() {
   // Line 10: rec = distinct est2 values credited during this phase.
   const auto rec = exch_.values_received();
-  if (checker_ != nullptr) checker_->on_rec(self_, round_, rec);
+  if (checker_ != nullptr) {
+    checker_->on_rec(self_, round_,
+                     std::vector<Estimate>(rec.begin(), rec.end()));
+  }
 
   const bool has_bot =
       std::find(rec.begin(), rec.end(), Estimate::Bot) != rec.end();

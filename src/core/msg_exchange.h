@@ -15,9 +15,15 @@
 // supporter sets; the phase-2 predicate counts the union over all values
 // seen, which coincides with the paper's definition whenever the WA1
 // invariant holds (the invariant checker verifies WA1 independently).
+//
+// Every delivered PHASE message is credited, so credit() and the wait
+// predicate are the handler's hot path: both are O(1) and allocation-free.
+// The supporter sets are kept as one value mask per cluster plus running
+// process counts, updated only when a cluster first supports a value.
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "core/cluster_layout.h"
@@ -25,6 +31,21 @@
 #include "net/network.h"
 
 namespace hyco {
+
+/// The distinct values an exchange credited, in index order (0, 1, ⊥). At
+/// most three, so the list lives inline and reading it never allocates.
+class ReceivedValues {
+ public:
+  void push_back(Estimate e) { vals_[size_++] = e; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] Estimate operator[](std::size_t i) const { return vals_[i]; }
+  [[nodiscard]] const Estimate* begin() const { return vals_.data(); }
+  [[nodiscard]] const Estimate* end() const { return vals_.data() + size_; }
+
+ private:
+  std::array<Estimate, 3> vals_{};
+  std::size_t size_ = 0;
+};
 
 /// One process's reusable engine for the msg_exchange pattern. begin() both
 /// broadcasts PHASE(r, ph, est) and resets the supporter sets; credit() folds
@@ -50,7 +71,7 @@ class MsgExchange {
   [[nodiscard]] ProcId support(Estimate v) const;
 
   /// Distinct values with non-empty supporter sets, in index order.
-  [[nodiscard]] std::vector<Estimate> values_received() const;
+  [[nodiscard]] ReceivedValues values_received() const;
 
   [[nodiscard]] Round round() const { return round_; }
   [[nodiscard]] Phase phase() const { return phase_; }
@@ -79,10 +100,16 @@ class MsgExchange {
   bool active_ = false;
   std::uint64_t begun_ = 0;
 
-  // supporters[v], kept as sets of *clusters* (they are always unions of
-  // whole clusters; this is equivalent to the paper's process sets and
-  // cheaper). Index 2 is ⊥.
-  std::array<DynamicBitset, 3> supporter_clusters_;
+  // supporters[v], kept per *cluster* (they are always unions of whole
+  // clusters; this is equivalent to the paper's process sets and cheaper):
+  // bit estimate_index(v) of cluster_values_[x] is set once a v from
+  // cluster x was credited. The counters are the sizes the predicates and
+  // support() read; a cluster adds its size to each the first time it
+  // enters the set.
+  std::vector<std::uint8_t> cluster_values_;
+  std::array<ProcId, 3> support_{};  ///< |supporters[v]|, index 2 is ⊥
+  ProcId covered01_ = 0;  ///< |supporters[0] ∪ supporters[1]|
+  ProcId covered_ = 0;    ///< |supporters[0] ∪ supporters[1] ∪ supporters[⊥]|
 };
 
 }  // namespace hyco

@@ -49,15 +49,24 @@ void ProcessBase::on_message(ProcId from, const Message& m) {
     return;
   }
 
-  // PHASE message: remember it (we may not have reached (r, ph) yet), feed
-  // it to the active exchange if it matches, and — under scenario assist —
-  // answer with our own message of that (round, phase) in case the sender
-  // missed the original (the reply happens before crediting, so a decision
-  // made by the credit cannot swallow it; deciding broadcasts DECIDE
-  // anyway).
-  backlog_[{m.round, static_cast<int>(m.phase)}].emplace_back(from, m.est);
+  // PHASE message: keep it if it is for a (round, phase) this process has
+  // not reached yet (begin_exchange replays it), feed it to the active
+  // exchange if it matches, and — under scenario assist — answer with our
+  // own message of that (round, phase) in case the sender missed the
+  // original (the reply happens before crediting, so a decision made by the
+  // credit cannot swallow it; deciding broadcasts DECIDE anyway). Exchanges
+  // begin in strictly increasing (round, phase) order and a parked process
+  // begins none, so a message for the active or an earlier exchange would
+  // never be replayed: it is not kept.
+  const BacklogKey key{m.round, static_cast<int>(m.phase)};
+  const bool live = started_ && exch_.active();
+  if (!live ||
+      (!parked_ && key > BacklogKey{exch_.round(),
+                                    static_cast<int>(exch_.phase())})) {
+    backlog_[key].emplace_back(from, m.est);
+  }
   if (assist_ && !parked_ && started_) maybe_catchup_reply(from, m);
-  if (!parked_ && started_ && exch_.active() && m.round == exch_.round() &&
+  if (!parked_ && live && m.round == exch_.round() &&
       m.phase == exch_.phase()) {
     ++stats_.phase_msgs_handled;
     const bool was_satisfied = obs_ != nullptr && exch_.satisfied();
@@ -113,7 +122,8 @@ void ProcessBase::begin_exchange(Round r, Phase ph, Estimate est) {
   if (obs_ != nullptr) obs_->on_phase_begin(self_, r, ph);
   if (assist_) sent_history_[{r, static_cast<int>(ph)}] = est;
   exch_.begin(r, ph, est);
-  const auto it = backlog_.find({r, static_cast<int>(ph)});
+  const BacklogKey key{r, static_cast<int>(ph)};
+  const auto it = backlog_.find(key);
   if (it != backlog_.end()) {
     for (const auto& [from, v] : it->second) {
       ++stats_.phase_msgs_handled;
@@ -125,6 +135,9 @@ void ProcessBase::begin_exchange(Round r, Phase ph, Estimate est) {
       obs_->on_quorum_satisfied(self_, r, ph);
     }
   }
+  // The replayed entry, and any for a (round, phase) this process skipped,
+  // can never be replayed again.
+  backlog_.erase(backlog_.begin(), backlog_.upper_bound(key));
 }
 
 void ProcessBase::decide(Estimate v) {

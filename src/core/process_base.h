@@ -112,6 +112,11 @@ class ProcessBase : public IConsensusProcess {
   void maybe_catchup_reply(ProcId from, const Message& m);
 
   using BacklogKey = std::pair<Round, int>;
+  /// PHASE messages for (round, phase) keys after the active exchange (or
+  /// any key before start()), in arrival order, as (sender, estimate).
+  /// begin_exchange replays and erases its own key; messages for the active
+  /// or an earlier key are credited or dropped on arrival, never kept, so
+  /// the map usually holds 0-2 keys.
   std::map<BacklogKey, std::vector<std::pair<ProcId, Estimate>>> backlog_;
   std::optional<Estimate> decision_;
   Round decision_round_ = 0;

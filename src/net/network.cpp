@@ -30,7 +30,8 @@ SimNetwork::SimNetwork(Simulator& sim, DelayModel& delays,
 
 SimNetwork::~SimNetwork() { sim_.clear_deliver_sink(this); }
 
-void SimNetwork::schedule_delivery(ProcId from, ProcId to, const Message& m) {
+void SimNetwork::schedule_delivery(std::uint32_t slot, ProcId from, ProcId to,
+                                   const Message& m) {
   SimTime hold = 0;
   int copies = 1;
   if (scenario_ != nullptr) {
@@ -67,7 +68,7 @@ void SimNetwork::schedule_delivery(ProcId from, ProcId to, const Message& m) {
     // here and the Deliver/Drop record when it fires share mid = seq + 1,
     // giving the offline DAG its send->deliver edges. seq assignment is
     // unconditional in the queue, so reading it never perturbs the run.
-    const std::uint64_t seq = sim_.schedule_deliver(hold + d, from, to, m);
+    const std::uint64_t seq = sim_.schedule_deliver(hold + d, slot, to);
     if (trace_ != nullptr) {
       trace_->record(sim_.now(), TraceKind::Send, from,
                      m.to_string() + " -> p" + std::to_string(to), seq + 1);
@@ -135,7 +136,9 @@ void SimNetwork::send(ProcId from, ProcId to, const Message& m) {
     ++stats_.dropped_sender_crashed;
     return;
   }
-  schedule_delivery(from, to, m);
+  const std::uint32_t slot = sim_.pin_payload(from, m);
+  schedule_delivery(slot, from, to, m);
+  sim_.unpin_payload(slot);
 }
 
 void SimNetwork::broadcast(ProcId from, const Message& m) {
@@ -147,6 +150,9 @@ void SimNetwork::broadcast(ProcId from, const Message& m) {
   ++stats_.broadcasts;
   const auto idx = static_cast<std::size_t>(from);
   const std::int32_t my_broadcast = broadcast_counts_[idx]++;
+  // One payload for every copy; the pin keeps it alive until the last copy
+  // is scheduled (and frees it if none was).
+  const std::uint32_t slot = sim_.pin_payload(from, m);
 
   // Scripted mid-broadcast crash: deliver to a random subset, then halt.
   if (plan_ != nullptr) {
@@ -161,8 +167,9 @@ void SimNetwork::broadcast(ProcId from, const Message& m) {
       std::iota(scratch_.begin(), scratch_.end(), 0);
       sim_.rng().partial_shuffle(scratch_, k);
       for (std::size_t i = 0; i < k; ++i) {
-        schedule_delivery(from, scratch_[i], m);
+        schedule_delivery(slot, from, scratch_[i], m);
       }
+      sim_.unpin_payload(slot);
       crashes_.crash(from, sim_.now());
       if (trace_ != nullptr) {
         trace_->record(sim_.now(), TraceKind::Crash, from,
@@ -174,8 +181,9 @@ void SimNetwork::broadcast(ProcId from, const Message& m) {
   }
 
   for (ProcId to = 0; to < n_; ++to) {
-    schedule_delivery(from, to, m);
+    schedule_delivery(slot, from, to, m);
   }
+  sim_.unpin_payload(slot);
 }
 
 }  // namespace hyco

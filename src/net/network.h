@@ -57,8 +57,9 @@ class INetwork {
 ///
 /// Deliveries ride the simulator's typed Deliver events (the network
 /// registers itself as the DeliverSink), so sending a message allocates
-/// nothing: the payload travels inline in the event node and comes straight
-/// back through deliver_event() when it fires.
+/// nothing: a send or broadcast parks its payload once in the event queue's
+/// slab, every copy (each receiver, each scenario duplicate) references it,
+/// and it comes straight back through deliver_batch() when a copy fires.
 class SimNetwork final : public INetwork, private DeliverSink {
  public:
   /// Called for each delivery to a live process.
@@ -90,7 +91,11 @@ class SimNetwork final : public INetwork, private DeliverSink {
   [[nodiscard]] const NetStats& stats() const { return stats_; }
 
  private:
-  void schedule_delivery(ProcId from, ProcId to, const Message& m);
+  /// Schedules the copies of pinned payload `slot` (message `m` from
+  /// `from`) that reach `to`: none if a scenario cut or loss drops it, more
+  /// than one if the scenario duplicates it.
+  void schedule_delivery(std::uint32_t slot, ProcId from, ProcId to,
+                         const Message& m);
 
   /// DeliverSink: a Deliver event fired — apply receiver-crash semantics and
   /// hand the message to the wired-in deliver function. When tracing, the

@@ -1,5 +1,6 @@
 #include "service/traffic.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -18,6 +19,13 @@ TrafficEngine::TrafficEngine(Simulator& sim, const CrashTracker& tracker,
       rng_(mix64(seed, 0x5EC1)) {
   HYCO_CHECK_MSG(n_ > 0, "traffic needs at least one replica");
   HYCO_CHECK_MSG(cfg_.ops_per_client >= 1, "ops_per_client must be >= 1");
+  // Divide instead of multiplying, so huge factors cannot wrap the product
+  // back under the bound.
+  HYCO_CHECK_MSG(cfg_.ops_per_client <=
+                     kMaxOps / std::max<std::uint64_t>(cfg_.clients, 1),
+                 "clients x ops_per_client must be <= "
+                     << kMaxOps << " (TrafficEngine::kMaxOps), got "
+                     << cfg_.clients << " x " << cfg_.ops_per_client);
   if (cfg_.load > 0.0) {
     think_mean_ns_ =
         static_cast<double>(cfg_.clients) * 1e9 / cfg_.load;

@@ -45,6 +45,12 @@ class TrafficEngine {
                 TrafficConfig cfg, std::uint64_t seed, ProcId n,
                 SubmitFn submit);
 
+  /// Upper bound on clients × ops_per_client: the engine reserves one
+  /// ClientOp (48 bytes) per op up front, so 10^7 ops is ~480 MB before the
+  /// run starts. Callers that take the product from untrusted input check
+  /// it first, on a thread where a failed check ends in a clean error.
+  static constexpr std::uint64_t kMaxOps = 10'000'000;
+
   TrafficEngine(const TrafficEngine&) = delete;
   TrafficEngine& operator=(const TrafficEngine&) = delete;
 

@@ -61,12 +61,12 @@ TickSpan EventQueue::pop_tick(std::uint64_t cap) {
   tick_items_.resize(k);
   TickItem* out = tick_items_.data();
   for (std::size_t i = 0; i < k; ++i) {
-    const std::uint32_t ref = e[i].ref;
+    const std::uint32_t ref = e[i].r.ref;
     if (ref & kDeliverBit) {
       const std::uint32_t idx = ref & ~kDeliverBit;
       const DeliverPayload& p = payload(idx);
-      out[i] =
-          TickItem{&p.msg, e[i].seq, p.from, p.to, idx, Event::Kind::Deliver};
+      out[i] = TickItem{&p.msg, e[i].seq, p.from, e[i].r.to, idx,
+                        Event::Kind::Deliver};
     } else {
       out[i] = TickItem{nullptr, e[i].seq, -1, -1, ref,
                         Event::Kind::Callback};
@@ -88,7 +88,7 @@ void EventQueue::commit_tick(std::size_t consumed) {
   cal_count_ -= consumed;
   for (std::size_t i = 0; i < consumed; ++i) {
     const TickItem& it = tick_items_[i];
-    if (it.kind == Event::Kind::Deliver) pending_frees_.push_back(it.slot);
+    if (it.kind == Event::Kind::Deliver) release_payload(it.slot);
   }
 }
 
@@ -137,9 +137,9 @@ void EventQueue::migrate_from_heap() {
     const SimTime at = key_at(k);
     const std::uint64_t d = day(at);
     if (d >= end_day) break;
-    const std::uint32_t ref = refs_.front();
+    const Ref r = refs_.front();
     heap_pop_top();
-    append_to_bucket(buckets_[d & mask_], at, key_seq(k), ref);
+    append_to_bucket(buckets_[d & mask_], at, key_seq(k), r);
   }
   overflow_pushes_ = 0;
 }
@@ -189,9 +189,9 @@ void EventQueue::rebuild_with(const Entry& extra) {
   for (const Entry& e : all) {
     const std::uint64_t d = day(e.at);
     if (d < end_day) {
-      append_to_bucket(buckets_[d & mask_], e.at, e.seq, e.ref);
+      append_to_bucket(buckets_[d & mask_], e.at, e.seq, e.r);
     } else {
-      heap_push(make_key(e.at, e.seq), e.ref);
+      heap_push(make_key(e.at, e.seq), e.r);
     }
   }
 }

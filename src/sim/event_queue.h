@@ -37,11 +37,20 @@
 //
 // Payload rules for the n² path:
 //
-//  * No per-event heap allocation, and no per-pop Message copy. Deliver
-//    payloads live in a chunked slab whose chunks never move, so pop() and
-//    pop_tick() hand out stable `const Message*` references. A popped slot
-//    is recycled only at the NEXT pop/pop_tick (deferred free list), so the
-//    reference stays valid across any pushes the handler makes.
+//  * One payload per broadcast, no per-event heap allocation, and no
+//    per-pop Message copy. A sender parks its message once in a chunked
+//    slab (pin_payload); every scheduled copy is a queue entry that names
+//    the slab slot and its own receiver (the receiver rides in the entry's
+//    padding), so an n-way broadcast writes one 40-byte payload and n
+//    24-byte entries. Slab chunks never move, so pop() and pop_tick() hand
+//    out stable `const Message*` references.
+//  * A slot is reference counted: the sender's pin plus one reference per
+//    scheduled copy. A consumed delivery drops its reference in pop() or
+//    commit_tick(), and the sender drops its pin once every copy is
+//    scheduled (a broadcast whose copies were all lost frees its slot
+//    right there). A slot whose count reaches 0 is recycled only at the
+//    NEXT pop/pop_tick (deferred free list), so a popped reference stays
+//    valid across any pushes the handler makes.
 //  * Generic timer/callback events (the ~10 cold call sites in runners,
 //    harnesses, and tests) park their std::function in a free-list slab;
 //    pushing into a recycled slot performs no allocation as long as the
@@ -138,16 +147,15 @@ class EventQueue {
       slot = static_cast<std::uint32_t>(pool_.size());
       pool_.push_back(std::move(fn));
     }
-    return route_new(at, slot);
+    return route_new(at, Ref{slot, -1});
   }
 
-  /// Schedules a message delivery. Allocation-free in steady state: the
+  /// Parks message `m` from `from` in one deliver-slab slot and returns
+  /// the slot, held by one pin reference. Each push_deliver(at, slot, to)
+  /// schedules one copy of it; unpin_payload(slot) drops the pin once the
+  /// sender has scheduled every copy. Allocation-free in steady state: the
   /// message is copied into a recycled slab slot, never onto the heap.
-  /// Returns the event's insertion sequence — a stable identity for the
-  /// scheduled delivery that the trace layer uses as its message id.
-  std::uint64_t push_deliver(SimTime at, ProcId from, ProcId to,
-                             const Message& m) {
-    HYCO_CHECK_MSG(at >= 0, "cannot schedule event at negative time " << at);
+  std::uint32_t pin_payload(ProcId from, const Message& m) {
     std::uint32_t idx;
     if (!free_deliveries_.empty()) {
       idx = free_deliveries_.back();
@@ -158,8 +166,30 @@ class EventQueue {
         slab_.emplace_back(new DeliverPayload[kChunkSize]);
       }
     }
-    payload(idx) = DeliverPayload{from, to, m};
-    return route_new(at, idx | kDeliverBit);
+    payload(idx) = DeliverPayload{from, 1, m};
+    return idx;
+  }
+
+  /// Schedules the delivery of pinned payload `slot` to `to`. Returns the
+  /// event's insertion sequence — a stable identity for the scheduled
+  /// delivery that the trace layer uses as its message id.
+  std::uint64_t push_deliver(SimTime at, std::uint32_t slot, ProcId to) {
+    HYCO_CHECK_MSG(at >= 0, "cannot schedule event at negative time " << at);
+    ++payload(slot).refs;
+    return route_new(at, Ref{slot | kDeliverBit, to});
+  }
+
+  /// Drops the sender's pin on `slot` (see pin_payload).
+  void unpin_payload(std::uint32_t slot) { release_payload(slot); }
+
+  /// Schedules a one-off delivery of `m` from `from` to `to`: its own pin,
+  /// push and unpin. Returns the event's insertion sequence.
+  std::uint64_t push_deliver(SimTime at, ProcId from, ProcId to,
+                             const Message& m) {
+    const std::uint32_t slot = pin_payload(from, m);
+    const std::uint64_t seq = push_deliver(at, slot, to);
+    unpin_payload(slot);
+    return seq;
   }
 
   [[nodiscard]] bool empty() const { return cal_count_ == 0 && heap_.empty(); }
@@ -190,17 +220,17 @@ class EventQueue {
     Event ev;
     ev.at = en.at;
     ev.seq = en.seq;
-    if (en.ref & kDeliverBit) {
-      const std::uint32_t idx = en.ref & ~kDeliverBit;
+    if (en.r.ref & kDeliverBit) {
+      const std::uint32_t idx = en.r.ref & ~kDeliverBit;
       const DeliverPayload& p = payload(idx);
       ev.kind = Event::Kind::Deliver;
       ev.from = p.from;
-      ev.to = p.to;
+      ev.to = en.r.to;
       ev.msg = &p.msg;
-      pending_frees_.push_back(idx);  // recycled at the NEXT pop
+      release_payload(idx);  // at 0 refs, recycled at the NEXT pop
     } else {
       ev.kind = Event::Kind::Callback;
-      ev.slot = en.ref;
+      ev.slot = en.r.ref;
     }
     return ev;
   }
@@ -214,8 +244,9 @@ class EventQueue {
   TickSpan pop_tick(std::uint64_t cap);
 
   /// Closes the tick opened by pop_tick: the first `consumed` items of the
-  /// span leave the queue (their deliver slots recycle at the next
-  /// pop/pop_tick); the rest remain pending. 0 <= consumed <= span.count.
+  /// span leave the queue (each drops its payload reference; a payload left
+  /// with none recycles at the next pop/pop_tick); the rest remain pending.
+  /// 0 <= consumed <= span.count.
   void commit_tick(std::size_t consumed);
 
   /// Moves the pooled closure out of `slot` and returns the slot to the
@@ -241,7 +272,8 @@ class EventQueue {
 
   // Pool introspection for tests and benchmarks: total slots ever
   // materialized, and how many of them are currently in use. A deliver slot
-  // awaiting its deferred recycle counts as free (its event is gone).
+  // is in use while its pin or any scheduled copy holds it; one awaiting
+  // its deferred recycle counts as free (its events are gone).
   [[nodiscard]] std::size_t pool_capacity() const { return pool_.size(); }
   [[nodiscard]] std::size_t pool_in_use() const {
     return pool_.size() - free_slots_.size();
@@ -283,7 +315,7 @@ class EventQueue {
   /// is exact), low half `seq`. One register-pair compare replaces the
   /// two-field lexicographic compare, and four 16-byte keys share a cache
   /// line. Payload refs ride in a parallel array (refs_[i] belongs to
-  /// heap_[i]) so the sift only drags 4 extra bytes per moved node.
+  /// heap_[i]) so the sift only drags 8 extra bytes per moved node.
   using Key = unsigned __int128;
 
   static Key make_key(SimTime at, std::uint64_t seq) {
@@ -296,13 +328,23 @@ class EventQueue {
     return static_cast<std::uint64_t>(k);
   }
 
-  /// A calendar entry: explicit (at, seq) plus the payload ref. 24 bytes —
+  /// What an event points at: a payload ref (kDeliverBit set: deliver
+  /// slab, else closure pool) and, for a delivery, its receiver — the one
+  /// field that differs between the copies of a broadcast.
+  struct Ref {
+    std::uint32_t ref;
+    ProcId to;
+  };
+
+  /// A calendar entry: explicit (at, seq) plus the ref. 24 bytes — the
+  /// receiver fills what would be padding after a lone 4-byte ref, and
   /// packing into a 16-byte Key would pad the struct to 32.
   struct Entry {
     SimTime at;
     std::uint64_t seq;
-    std::uint32_t ref;
+    Ref r;
   };
+  static_assert(sizeof(Entry) == 24, "calendar entries must stay 24 bytes");
 
   /// One day of the calendar ring. `head` is the consumed prefix; entries
   /// in [head, items.size()) are pending, kept in (at, seq) order (lazily
@@ -313,10 +355,12 @@ class EventQueue {
     bool dirty = false;
   };
 
-  /// A parked Deliver payload, in a stable slab chunk.
+  /// A parked Deliver payload, in a stable slab chunk, shared by every
+  /// scheduled copy. `refs` counts the sender's pin plus each copy still
+  /// queued.
   struct DeliverPayload {
     ProcId from;
-    ProcId to;
+    std::uint32_t refs;
     Message msg;
   };
 
@@ -331,28 +375,27 @@ class EventQueue {
   /// Files a freshly pushed event into the calendar window, the overflow
   /// heap, or (cold, raw-queue tests only) a full rebuild when it lands
   /// before the current window. Returns the assigned insertion sequence.
-  std::uint64_t route_new(SimTime at, std::uint32_t ref) {
+  std::uint64_t route_new(SimTime at, Ref r) {
     const std::uint64_t seq = next_seq_++;
     const std::uint64_t d = day(at);
     if (d - base_day_ < nb_) {  // unsigned: d < base_day_ wraps, fails
-      append_to_bucket(buckets_[d & mask_], at, seq, ref);
+      append_to_bucket(buckets_[d & mask_], at, seq, r);
       if (d < cursor_day_) cursor_day_ = d;
     } else if (cal_count_ == 0 && heap_.empty()) {
       base_day_ = cursor_day_ = d;  // empty queue: rebase the window here
-      append_to_bucket(buckets_[d & mask_], at, seq, ref);
+      append_to_bucket(buckets_[d & mask_], at, seq, r);
     } else if (d >= base_day_ + nb_) {
-      heap_push(make_key(at, seq), ref);
+      heap_push(make_key(at, seq), r);
       ++overflow_pushes_;
     } else {
-      rebuild_with(Entry{at, seq, ref});
+      rebuild_with(Entry{at, seq, r});
     }
     const std::size_t sz = cal_count_ + heap_.size();
     if (sz > peak_) peak_ = sz;
     return seq;
   }
 
-  void append_to_bucket(Bucket& b, SimTime at, std::uint64_t seq,
-                        std::uint32_t ref) {
+  void append_to_bucket(Bucket& b, SimTime at, std::uint64_t seq, Ref r) {
     if (b.head != 0 && b.head == b.items.size()) {
       // Fully consumed leftovers (possibly from an earlier window sharing
       // this ring slot): reset before reuse.
@@ -364,7 +407,7 @@ class EventQueue {
         at < b.items.back().at) {
       b.dirty = true;  // same-at appends keep order (seq is monotonic)
     }
-    b.items.push_back(Entry{at, seq, ref});
+    b.items.push_back(Entry{at, seq, r});
     ++cal_count_;
   }
 
@@ -382,6 +425,14 @@ class EventQueue {
   void rebuild_with(const Entry& extra);
   void release_bucket(Bucket& b);
 
+  /// Drops one reference to deliver slot `idx`; the last one parks the
+  /// slot on the deferred free list.
+  void release_payload(std::uint32_t idx) {
+    DeliverPayload& p = payload(idx);
+    HYCO_CHECK_MSG(p.refs > 0, "deliver slot " << idx << " released twice");
+    if (--p.refs == 0) pending_frees_.push_back(idx);
+  }
+
   void flush_pending_frees() {
     if (pending_frees_.empty()) return;
     free_deliveries_.insert(free_deliveries_.end(), pending_frees_.begin(),
@@ -389,9 +440,9 @@ class EventQueue {
     pending_frees_.clear();
   }
 
-  void heap_push(Key k, std::uint32_t ref) {
+  void heap_push(Key k, Ref r) {
     heap_.push_back(k);
-    refs_.push_back(ref);
+    refs_.push_back(r);
     sift_up(heap_.size() - 1);
   }
 
@@ -400,7 +451,7 @@ class EventQueue {
 
   void sift_up(std::size_t i) {
     const Key k = heap_[i];
-    const std::uint32_t r = refs_[i];
+    const Ref r = refs_[i];
     while (i > 0) {
       const std::size_t parent = (i - 1) / kArity;
       if (k >= heap_[parent]) break;
@@ -427,8 +478,8 @@ class EventQueue {
   std::uint64_t overflow_pushes_ = 0;  ///< heap pushes since last migration
 
   // Overflow heap (times strictly beyond the window).
-  std::vector<Key> heap_;            ///< (at, seq) sort keys
-  std::vector<std::uint32_t> refs_;  ///< parallel payload refs
+  std::vector<Key> heap_;  ///< (at, seq) sort keys
+  std::vector<Ref> refs_;  ///< parallel payload refs and receivers
 
   // Deliver payload slab: chunks never move, so popped refs stay valid.
   std::vector<std::unique_ptr<DeliverPayload[]>> slab_;

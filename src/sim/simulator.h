@@ -89,11 +89,23 @@ class Simulator {
   /// Schedules `fn` at absolute virtual time `at` (>= now()).
   void schedule_at(SimTime at, std::function<void()> fn);
 
-  /// Schedules a message delivery `delay` nanoseconds from now. The message
-  /// is stored inline in the event node — no allocation — and dispatched to
+  /// Parks message `m` from `from` once for any number of deliveries (see
+  /// EventQueue::pin_payload): schedule each copy with
+  /// schedule_deliver(delay, slot, to), then unpin_payload(slot).
+  std::uint32_t pin_payload(ProcId from, const Message& m) {
+    return queue_.pin_payload(from, m);
+  }
+  void unpin_payload(std::uint32_t slot) { queue_.unpin_payload(slot); }
+
+  /// Schedules the delivery of pinned payload `slot` to `to`, `delay`
+  /// nanoseconds from now — no allocation, no Message copy — dispatched to
   /// the deliver sink when it fires. Requires a sink by dispatch time.
   /// Returns the event's insertion sequence (assigned unconditionally, so
   /// observing it is free of side effects on the run).
+  std::uint64_t schedule_deliver(SimTime delay, std::uint32_t slot,
+                                 ProcId to);
+
+  /// One-off delivery of `m` from `from` to `to`: pin, schedule, unpin.
   std::uint64_t schedule_deliver(SimTime delay, ProcId from, ProcId to,
                                  const Message& m);
 
@@ -131,6 +143,16 @@ class Simulator {
   /// Peak number of concurrently pending events (perf instrumentation).
   [[nodiscard]] std::size_t peak_queue_depth() const {
     return queue_.peak_size();
+  }
+
+  /// Deliver payload slots materialized / held right now (see
+  /// EventQueue::deliver_pool_in_use): a broadcast holds one until its
+  /// last copy is consumed.
+  [[nodiscard]] std::size_t deliver_pool_capacity() const {
+    return queue_.deliver_pool_capacity();
+  }
+  [[nodiscard]] std::size_t deliver_pool_in_use() const {
+    return queue_.deliver_pool_in_use();
   }
 
   /// The simulation-wide RNG (delay draws, crash subsets, ...). Forked

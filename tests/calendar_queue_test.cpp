@@ -14,6 +14,7 @@
 
 #include "net/message.h"
 #include "sim/event_queue.h"
+#include "util/assert.h"
 #include "util/rng.h"
 
 namespace hyco {
@@ -357,6 +358,195 @@ TEST(CalendarQueueTickProperty, FuzzTickSpansMatchRepeatedPop) {
       drain_and_check(q, std::move(pending));
     }
   }
+}
+
+// ---- Shared payloads: one slab slot per broadcast, a receiver per entry --
+
+/// Model entry of one scheduled copy of a shared payload.
+struct ExpectedCopy {
+  SimTime at = 0;
+  std::uint64_t order = 0;  ///< push order
+  std::uint64_t tag = 0;    ///< payload identity (one per broadcast)
+  ProcId from = -1;
+  ProcId to = -1;
+};
+
+bool copy_less(const ExpectedCopy& a, const ExpectedCopy& b) {
+  if (a.at != b.at) return a.at < b.at;
+  return a.order < b.order;
+}
+
+/// Payloads still referenced by a pending copy — what deliver_pool_in_use()
+/// must report once no pin is held.
+std::size_t live_payloads(const std::vector<ExpectedCopy>& pending) {
+  std::vector<std::uint64_t> tags;
+  for (const ExpectedCopy& c : pending) tags.push_back(c.tag);
+  std::sort(tags.begin(), tags.end());
+  return static_cast<std::size_t>(
+      std::unique(tags.begin(), tags.end()) - tags.begin());
+}
+
+/// One broadcast from a random sender to 1..8 random receivers at random
+/// times in [lo, lo + spread): one pin, its copies (appended to `pending`),
+/// the unpin.
+void push_broadcast(EventQueue& q, Rng& rng, std::uint64_t tag, SimTime lo,
+                    std::uint64_t spread, std::uint64_t& order,
+                    std::vector<ExpectedCopy>& pending) {
+  const auto from = static_cast<ProcId>(rng.bounded(16));
+  const std::uint32_t slot = q.pin_payload(from, tagged(tag));
+  const std::uint64_t copies = 1 + rng.bounded(8);
+  for (std::uint64_t c = 0; c < copies; ++c) {
+    const SimTime at = lo + static_cast<SimTime>(rng.bounded(spread));
+    const auto to = static_cast<ProcId>(100 + rng.bounded(1000));
+    q.push_deliver(at, slot, to);
+    pending.push_back({at, order++, tag, from, to});
+  }
+  q.unpin_payload(slot);
+}
+
+void expect_copy(const Event& ev, const ExpectedCopy& want) {
+  EXPECT_EQ(ev.at, want.at);
+  ASSERT_EQ(ev.kind, Event::Kind::Deliver);
+  EXPECT_EQ(ev.msg->value, want.tag);
+  EXPECT_EQ(ev.from, want.from);
+  EXPECT_EQ(ev.to, want.to);
+}
+
+TEST(CalendarQueueShared, ReceiversSurviveHeapMigrationAndWideningViaPop) {
+  // Far-flung copies of shared payloads ride the overflow heap, migrate
+  // back and widen the window; each must come out with its own receiver,
+  // its payload's sender and message, and the pool must hold exactly the
+  // payloads that still have a pending copy.
+  for (const EventQueue::Tuning& t : tiny_geometries()) {
+    Rng rng(0x5A4ED);
+    EventQueue q(t);
+    std::vector<ExpectedCopy> pending;
+    std::uint64_t order = 0;
+    std::uint64_t tag = 0;
+    SimTime now = 0;
+    for (int op = 0; op < 400; ++op) {
+      if (pending.empty() || rng.bounded(100) < 40) {
+        push_broadcast(q, rng, tag++, now, 600, order, pending);
+      } else {
+        std::sort(pending.begin(), pending.end(), copy_less);
+        const Event ev = q.pop();
+        expect_copy(ev, pending.front());
+        now = ev.at;
+        pending.erase(pending.begin());
+      }
+      ASSERT_EQ(q.deliver_pool_in_use(), live_payloads(pending));
+    }
+    EXPECT_TRUE(q.bucket_count() > (std::size_t{1} << t.bucket_bits) ||
+                q.bucket_shift() > t.shift)
+        << "geometry failed to force a widening";
+    std::sort(pending.begin(), pending.end(), copy_less);
+    for (const ExpectedCopy& want : pending) expect_copy(q.pop(), want);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.deliver_pool_in_use(), 0u);
+  }
+}
+
+TEST(CalendarQueueShared, ReceiversSurviveHeapMigrationAndWideningViaTicks) {
+  // The same through pop_tick with random caps and partial commits: an
+  // uncommitted copy keeps its payload alive, a committed one releases it.
+  for (const EventQueue::Tuning& t : tiny_geometries()) {
+    Rng rng(0x71C45);
+    EventQueue q(t);
+    std::vector<ExpectedCopy> pending;
+    std::uint64_t order = 0;
+    std::uint64_t tag = 0;
+    SimTime now = 0;
+    for (int op = 0; op < 400; ++op) {
+      if (pending.empty() || rng.bounded(100) < 40) {
+        push_broadcast(q, rng, tag++, now, 600, order, pending);
+      } else {
+        std::sort(pending.begin(), pending.end(), copy_less);
+        const TickSpan span = q.pop_tick(1 + rng.bounded(8));
+        ASSERT_EQ(span.at, pending.front().at);
+        for (std::size_t i = 0; i < span.count; ++i) {
+          const TickItem& it = span.items[i];
+          ASSERT_EQ(it.kind, Event::Kind::Deliver);
+          EXPECT_EQ(it.msg->value, pending[i].tag);
+          EXPECT_EQ(it.from, pending[i].from);
+          EXPECT_EQ(it.to, pending[i].to);
+        }
+        const std::size_t consumed = rng.bounded(span.count + 1);
+        q.commit_tick(consumed);
+        now = span.at;
+        pending.erase(pending.begin(),
+                      pending.begin() + static_cast<std::ptrdiff_t>(consumed));
+      }
+      ASSERT_EQ(q.deliver_pool_in_use(), live_payloads(pending));
+    }
+    std::sort(pending.begin(), pending.end(), copy_less);
+    for (const ExpectedCopy& want : pending) expect_copy(q.pop(), want);
+    EXPECT_EQ(q.deliver_pool_in_use(), 0u);
+  }
+}
+
+TEST(CalendarQueueShared, ReceiversSurviveARebuild) {
+  EventQueue::Tuning t;
+  t.bucket_bits = 1;
+  t.max_bucket_bits = 1;
+  EventQueue q(t);
+  const std::uint32_t a = q.pin_payload(3, tagged(7));
+  q.push_deliver(1000, a, 11);
+  q.push_deliver(5000, a, 12);  // overflow heap
+  q.unpin_payload(a);
+  const std::uint32_t b = q.pin_payload(4, tagged(8));
+  q.push_deliver(3, b, 13);  // below the window: full rebuild
+  q.push_deliver(1000, b, 14);
+  q.unpin_payload(b);
+  EXPECT_EQ(q.deliver_pool_in_use(), 2u);
+  const std::vector<ExpectedCopy> want = {
+      {3, 0, 8, 4, 13}, {1000, 0, 7, 3, 11}, {1000, 0, 8, 4, 14},
+      {5000, 0, 7, 3, 12}};
+  for (const ExpectedCopy& w : want) expect_copy(q.pop(), w);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.deliver_pool_in_use(), 0u);
+}
+
+TEST(CalendarQueueShared, OneBroadcastUsesExactlyOneSlot) {
+  EventQueue q;
+  const std::uint32_t slot = q.pin_payload(0, tagged(1));
+  for (ProcId to = 0; to < 1000; ++to) q.push_deliver(to % 3, slot, to);
+  q.unpin_payload(slot);
+  EXPECT_EQ(q.deliver_pool_capacity(), 1u);
+  EXPECT_EQ(q.deliver_pool_in_use(), 1u);
+  ProcId next = 0;
+  for (SimTime at = 0; at < 3; ++at) {
+    const TickSpan span = q.pop_tick(1000);
+    for (std::size_t i = 0; i < span.count; ++i) {
+      EXPECT_EQ(span.items[i].to % 3, at);
+      EXPECT_EQ(span.items[i].msg->value, 1u);
+      ++next;
+    }
+    q.commit_tick(span.count);
+    EXPECT_EQ(q.deliver_pool_in_use(), at < 2 ? 1u : 0u);
+  }
+  EXPECT_EQ(next, 1000);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(CalendarQueueShared, APinWithNoCopiesFreesItsSlot) {
+  // A broadcast whose every copy was lost: the unpin releases the slot.
+  EventQueue q;
+  const std::uint32_t slot = q.pin_payload(0, tagged(1));
+  EXPECT_EQ(q.deliver_pool_in_use(), 1u);
+  q.unpin_payload(slot);
+  EXPECT_EQ(q.deliver_pool_in_use(), 0u);
+  EXPECT_THROW(q.unpin_payload(slot), ContractViolation);
+}
+
+TEST(CalendarQueueShared, PoppedMessageOutlivesItsLastReference) {
+  // The last copy's pop drops the payload's count to 0, yet the reference
+  // it handed out stays valid across pushes until the next pop.
+  EventQueue q;
+  q.push_deliver(1, 0, 1, tagged(42));
+  const Event ev = q.pop();
+  EXPECT_EQ(q.deliver_pool_in_use(), 0u);
+  for (std::uint64_t i = 0; i < 100; ++i) q.push_deliver(2, 0, 1, tagged(i));
+  EXPECT_EQ(ev.msg->value, 42u);
 }
 
 }  // namespace

@@ -3,10 +3,12 @@
 // phase-2 (value, ⊥) handling.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "core/msg_exchange.h"
 #include "util/assert.h"
+#include "util/rng.h"
 
 namespace hyco {
 namespace {
@@ -148,6 +150,59 @@ TEST(MsgExchange, RoundsStartAtOne) {
   RecordingNetwork net(3);
   MsgExchange ex(layout, net, 0);
   EXPECT_THROW(ex.begin(0, Phase::One, Estimate::Zero), ContractViolation);
+}
+
+TEST(MsgExchangeProperty, CountersMatchABruteForceRecount) {
+  // The O(1) counters against the paper's definition, recounted from
+  // scratch after every credit: supporters[v] is the union of the clusters
+  // of every sender credited with v, support(v) its size, the phase-1
+  // predicate |sup[0] ∪ sup[1]| > n/2, the phase-2 one adds sup[⊥].
+  Rng rng(0xE7C4);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<ProcId> sizes(1 + rng.bounded(6));
+    for (ProcId& size : sizes) size = static_cast<ProcId>(1 + rng.bounded(5));
+    const auto layout = ClusterLayout::from_sizes(sizes);
+    const ProcId n = layout.n();
+    RecordingNetwork net(n);
+    MsgExchange ex(layout, net, 0);
+    for (int exchange = 0; exchange < 3; ++exchange) {
+      const Phase ph = rng.bounded(2) == 0 ? Phase::One : Phase::Two;
+      ex.begin(1 + exchange, ph, Estimate::Zero);
+      std::array<std::vector<bool>, 3> sup;
+      for (auto& s : sup) s.assign(static_cast<std::size_t>(n), false);
+      const std::uint64_t credits = rng.bounded(3 * static_cast<std::uint64_t>(n));
+      for (std::uint64_t c = 0; c < credits; ++c) {
+        const auto from = static_cast<ProcId>(
+            rng.bounded(static_cast<std::uint64_t>(n)));
+        const Estimate v = kAllEstimates[rng.bounded(3)];
+        for (const ProcId p : layout.members(layout.cluster_of(from))) {
+          sup[estimate_index(v)][static_cast<std::size_t>(p)] = true;
+        }
+        const bool got = ex.credit(from, v);
+
+        std::array<ProcId, 3> count{};
+        ProcId covered01 = 0;
+        ProcId covered = 0;
+        for (std::size_t p = 0; p < sup[0].size(); ++p) {
+          for (std::size_t i = 0; i < 3; ++i) count[i] += sup[i][p] ? 1 : 0;
+          covered01 += (sup[0][p] || sup[1][p]) ? 1 : 0;
+          covered += (sup[0][p] || sup[1][p] || sup[2][p]) ? 1 : 0;
+        }
+        const bool want =
+            2 * (ph == Phase::Two ? covered : covered01) > n;
+        ASSERT_EQ(got, want) << "trial " << trial << " credit " << c;
+        ASSERT_EQ(ex.satisfied(), want);
+        std::vector<Estimate> values;
+        for (const Estimate e : kAllEstimates) {
+          ASSERT_EQ(ex.support(e), count[estimate_index(e)]);
+          if (count[estimate_index(e)] > 0) values.push_back(e);
+        }
+        const auto got_values = ex.values_received();
+        ASSERT_EQ(std::vector<Estimate>(got_values.begin(), got_values.end()),
+                  values);
+      }
+    }
+  }
 }
 
 }  // namespace

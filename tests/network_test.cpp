@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <vector>
 
+#include "core/cluster_layout.h"
 #include "net/delay_model.h"
 #include "net/network.h"
+#include "scenario/engine.h"
 #include "sim/simulator.h"
 #include "util/assert.h"
 
@@ -184,6 +187,79 @@ TEST(SimNetwork, StatsCountUnicasts) {
   f.sim.run();
   EXPECT_EQ(f.net.stats().unicasts_sent, 4u);
   EXPECT_EQ(f.net.stats().delivered, 4u);
+}
+
+// ---- One payload slot per send or broadcast --------------------------------
+
+/// A scenario over `n` singleton clusters with the given link faults.
+std::unique_ptr<ScenarioEngine> link_faults(ProcId n, double loss,
+                                            double dup) {
+  ScenarioConfig cfg;
+  cfg.link.loss = loss;
+  cfg.link.dup = dup;
+  return std::make_unique<ScenarioEngine>(cfg, ClusterLayout::singletons(n),
+                                          std::make_unique<ConstantDelay>(10));
+}
+
+TEST(SimNetworkPayload, DrainedBroadcastReleasesItsOneSlot) {
+  NetFixture f(64);
+  f.net.broadcast(5, msg());
+  EXPECT_EQ(f.sim.deliver_pool_capacity(), 1u);
+  EXPECT_EQ(f.sim.deliver_pool_in_use(), 1u);
+  f.net.send(1, 2, msg());
+  EXPECT_EQ(f.sim.deliver_pool_in_use(), 2u);
+  f.sim.run();
+  EXPECT_EQ(f.deliveries.size(), 65u);
+  EXPECT_EQ(f.sim.deliver_pool_in_use(), 0u);
+  for (const auto& d : f.deliveries) {
+    EXPECT_EQ(d.m, msg());
+  }
+}
+
+TEST(SimNetworkPayload, BroadcastWithEveryCopyLostFreesItsSlot) {
+  NetFixture f(16);
+  const auto scenario = link_faults(16, 1.0, 0.0);
+  f.net.set_scenario(scenario.get());
+  f.net.broadcast(0, msg());
+  EXPECT_EQ(f.net.stats().dropped_lost, 16u);
+  EXPECT_EQ(f.sim.deliver_pool_in_use(), 0u);
+  f.sim.run();
+  EXPECT_TRUE(f.deliveries.empty());
+}
+
+TEST(SimNetworkPayload, MidBroadcastCrashToNoReceiverFreesItsSlot) {
+  CrashPlan plan = CrashPlan::none(8);
+  plan.specs[3] = CrashSpec::on_broadcast(0, 0);  // first broadcast, k = 0
+  NetFixture f(8, &plan);
+  f.net.broadcast(3, msg());
+  EXPECT_TRUE(f.tracker.is_crashed(3));
+  EXPECT_EQ(f.sim.deliver_pool_in_use(), 0u);
+  f.sim.run();
+  EXPECT_TRUE(f.deliveries.empty());
+}
+
+TEST(SimNetworkPayload, MidBroadcastCrashSubsetSharesOneSlot) {
+  CrashPlan plan = CrashPlan::none(8);
+  plan.specs[3] = CrashSpec::on_broadcast(0, 5);
+  NetFixture f(8, &plan);
+  f.net.broadcast(3, msg());
+  EXPECT_EQ(f.sim.deliver_pool_capacity(), 1u);
+  EXPECT_EQ(f.sim.deliver_pool_in_use(), 1u);
+  f.sim.run();
+  EXPECT_EQ(f.sim.deliver_pool_in_use(), 0u);
+}
+
+TEST(SimNetworkPayload, DuplicatedCopiesShareTheSlot) {
+  NetFixture f(16);
+  const auto scenario = link_faults(16, 0.0, 1.0);
+  f.net.set_scenario(scenario.get());
+  f.net.broadcast(2, msg());
+  EXPECT_EQ(f.net.stats().duplicated, 16u);
+  EXPECT_EQ(f.sim.deliver_pool_capacity(), 1u);
+  EXPECT_EQ(f.sim.deliver_pool_in_use(), 1u);
+  f.sim.run();
+  EXPECT_EQ(f.deliveries.size(), 32u);
+  EXPECT_EQ(f.sim.deliver_pool_in_use(), 0u);
 }
 
 }  // namespace

@@ -5,52 +5,89 @@
 // go wrong; the scenarios force them deterministically.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "core/runner.h"
 
 namespace hyco {
 namespace {
 
+/// All traffic TO p0 is delayed 400x: the rest of the system runs ahead
+/// through many rounds.
+RunConfig laggard_config(std::uint64_t seed) {
+  RunConfig cfg(ClusterLayout::singletons(5));
+  cfg.alg = Algorithm::HybridLocalCoin;
+  cfg.inputs = split_inputs(5);
+  cfg.seed = seed;
+  cfg.delay_factory = [] {
+    return std::make_unique<AdversarialDelay>(
+        [](ProcId, ProcId to, const Message&, SimTime, Rng& rng) {
+          const SimTime base = rng.uniform(5, 30);
+          return to == 0 ? base * 400 : base;
+        });
+  };
+  return cfg;
+}
+
+/// Per-message delays spanning three orders of magnitude: phase-2 traffic
+/// of round r regularly overtakes phase-1 traffic of round r.
+RunConfig reordering_config(std::uint64_t seed) {
+  RunConfig cfg(ClusterLayout::from_sizes({2, 3, 2}));
+  cfg.alg = Algorithm::HybridLocalCoin;
+  cfg.inputs = split_inputs(7);
+  cfg.seed = seed;
+  cfg.delay_factory = [] {
+    return std::make_unique<AdversarialDelay>(
+        [](ProcId, ProcId, const Message&, SimTime, Rng& rng) {
+          return rng.bernoulli(0.3) ? rng.uniform(1, 10)
+                                    : rng.uniform(500, 5000);
+        });
+  };
+  return cfg;
+}
+
 TEST(Backlog, OneProcessLagsManyRounds) {
-  // All traffic TO p0 is delayed 400x: the rest of the system runs ahead
-  // through many rounds; p0 must replay its backlog and terminate with the
-  // same value.
+  // p0 must replay its backlog and terminate with the same value.
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
-    RunConfig cfg(ClusterLayout::singletons(5));
-    cfg.alg = Algorithm::HybridLocalCoin;
-    cfg.inputs = split_inputs(5);
-    cfg.seed = seed;
-    cfg.delay_factory = [] {
-      return std::make_unique<AdversarialDelay>(
-          [](ProcId, ProcId to, const Message&, SimTime, Rng& rng) {
-            const SimTime base = rng.uniform(5, 30);
-            return to == 0 ? base * 400 : base;
-          });
-    };
-    const auto r = run_consensus(cfg);
+    const auto r = run_consensus(laggard_config(seed));
     ASSERT_TRUE(r.success()) << "seed " << seed;
   }
 }
 
 TEST(Backlog, ExtremeReorderingAcrossPhases) {
-  // Per-message delays spanning three orders of magnitude: phase-2 traffic
-  // of round r regularly overtakes phase-1 traffic of round r.
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
-    RunConfig cfg(ClusterLayout::from_sizes({2, 3, 2}));
-    cfg.alg = Algorithm::HybridLocalCoin;
-    cfg.inputs = split_inputs(7);
-    cfg.seed = seed;
-    cfg.delay_factory = [] {
-      return std::make_unique<AdversarialDelay>(
-          [](ProcId, ProcId, const Message&, SimTime, Rng& rng) {
-            return rng.bernoulli(0.3) ? rng.uniform(1, 10)
-                                      : rng.uniform(500, 5000);
-          });
-    };
-    const auto r = run_consensus(cfg);
+    const auto r = run_consensus(reordering_config(seed));
     ASSERT_TRUE(r.success()) << "seed " << seed;
   }
+}
+
+/// Sums, over seeds 1..15, the PHASE messages every process credited (live
+/// or replayed from its backlog) and the messages the network delivered.
+std::pair<std::uint64_t, std::uint64_t> credited_and_delivered(
+    RunConfig (*config)(std::uint64_t)) {
+  std::uint64_t credited = 0;
+  std::uint64_t delivered = 0;
+  for (std::uint64_t seed = 1; seed <= 15; ++seed) {
+    const auto r = run_consensus(config(seed));
+    for (const ProcessStats& s : r.proc_stats) {
+      credited += s.phase_msgs_handled;
+    }
+    delivered += r.net.delivered;
+  }
+  return {credited, delivered};
+}
+
+TEST(Backlog, GoldenCreditCountsOfTheReorderedRuns) {
+  // Pinned counts of the two runs above where the backlog matters most (a
+  // laggard replaying many rounds, phases overtaking each other): the
+  // backlog must credit exactly the messages it always did — no message
+  // replayed twice, none for a phase already left, none lost.
+  EXPECT_EQ(credited_and_delivered(laggard_config),
+            std::make_pair(std::uint64_t{1267}, std::uint64_t{2555}));
+  EXPECT_EQ(credited_and_delivered(reordering_config),
+            std::make_pair(std::uint64_t{687}, std::uint64_t{3066}));
 }
 
 TEST(Backlog, DecideCanArriveBeforeAnyPhaseMessage) {

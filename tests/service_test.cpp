@@ -12,6 +12,7 @@
 #include "scenario/scenario.h"
 #include "service/checker.h"
 #include "service/service_runner.h"
+#include "service/traffic.h"
 #include "util/assert.h"
 
 namespace hyco {
@@ -162,6 +163,27 @@ TEST(ServiceE2E, SafeUnderMessageLossWithCorruptedCoin) {
   EXPECT_TRUE(r.safe_ok) << (r.violations.empty() ? "" : r.violations[0]);
   EXPECT_TRUE(r.terminated);
   EXPECT_TRUE(check_service_logs(r.slot_logs).ok);
+}
+
+TEST(ServiceTraffic, OversizedOpCountIsRefusedBeforeReserving) {
+  // clients x ops_per_client past TrafficEngine::kMaxOps fails the check
+  // before any per-client or per-op vector is sized, also when the product
+  // would wrap around 2^64.
+  Simulator sim(1);
+  CrashTracker tracker(4);
+  const auto submit = [](ProcId, std::uint64_t) {};
+  TrafficConfig cfg;
+  cfg.clients = 10'000'000;
+  cfg.ops_per_client = 1'000'000;
+  EXPECT_THROW(TrafficEngine(sim, tracker, cfg, 1, 4, submit),
+               ContractViolation);
+  cfg.clients = std::uint64_t{1} << 62;
+  cfg.ops_per_client = 4;  // product wraps to 0
+  EXPECT_THROW(TrafficEngine(sim, tracker, cfg, 1, 4, submit),
+               ContractViolation);
+  cfg.clients = 1'000;
+  cfg.ops_per_client = 1'000;
+  EXPECT_NO_THROW(TrafficEngine(sim, tracker, cfg, 1, 4, submit));
 }
 
 TEST(ServiceE2E, RejectsOnBroadcastCrashSpecs) {
